@@ -13,12 +13,11 @@
 # incremental`: a one-compartment patch re-analyzes only that
 # compartment and the warm report is byte-identical to a cold audit),
 # and reduced-workload
-# runs of the decode-cache, block-exec, chain-exec and jit-exec
-# benchmarks, which exit non-zero if any dispatch path diverges on any
-# workload (jit_exec additionally fails if the optimizer never
-# engages).  The smoke benches write BENCH_*_smoke.json; they are
-# divergence gates, not performance claims — use `make bench` for real
-# numbers.
+# runs of the benchmarks: `dispatch smoke` exits non-zero if any of the
+# five dispatch tiers diverges on any workload, or if no workload forms
+# a superblock (chain and jit tiers) or eliminates a check (jit tier).
+# The smoke benches write BENCH_*_smoke.json; they are divergence
+# gates, not performance claims — use `make bench` for real numbers.
 
 .PHONY: all build lint test parity prop-long audit verify-plans audit-incremental bench bench-smoke ci clean
 
@@ -77,19 +76,13 @@ prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test fuzz
 
 bench: build
-	dune exec bench/main.exe -- decode_cache
-	dune exec bench/main.exe -- block_exec
-	dune exec bench/main.exe -- chain_exec
-	dune exec bench/main.exe -- jit_exec
+	dune exec bench/main.exe -- dispatch
 	dune exec bench/main.exe -- audit
 	dune exec bench/main.exe -- audit_incremental
 	dune exec bench/main.exe -- planverify
 
 bench-smoke: build
-	dune exec bench/main.exe -- decode_cache smoke
-	dune exec bench/main.exe -- block_exec smoke
-	dune exec bench/main.exe -- chain_exec smoke
-	dune exec bench/main.exe -- jit_exec smoke
+	dune exec bench/main.exe -- dispatch smoke
 	dune exec bench/main.exe -- audit smoke
 	dune exec bench/main.exe -- audit_incremental smoke
 	dune exec bench/main.exe -- planverify smoke

@@ -372,79 +372,148 @@ let micro () =
       | Some _ | None -> Format.printf "%-40s (no estimate)@." name)
     (List.sort compare rows)
 
-(* --- decode-cache differential benchmark -------------------------------- *)
+(* --- dispatch-tier differential benchmark ------------------------------- *)
 
 module Machine = Cheriot_isa.Machine
 
-(* Runs each workload's instruction stream to completion under both
-   dispatch paths — the always-decode reference interpreter
-   ([Machine.step]) and the decoded-instruction cache
-   ([Machine.step_fast]) — asserts that they retire the same number of
-   instructions and reach bit-identical architectural state, and reports
-   host instructions/sec for each.  Writes BENCH_decode_cache.json. *)
+(* Runs each workload to completion under all five dispatch tiers on
+   fresh machines, so the cached and block tiers pay their cold-miss
+   cost every time, and asserts that every tier retires the same number
+   of instructions and reaches bit-identical architectural state.  The
+   tiers are timed interleaved (one run of each tier per repetition):
+   host speed drifts over seconds, and interleaving exposes every tier
+   to the same drift instead of charging it to whichever ran last.
+   Reports min and median wall seconds (monotonic clock) per tier, plus
+   each tier's own counters.  Also fails the run if no workload forms a
+   superblock under the chain and jit tiers or eliminates a check under
+   the jit tier — the trace heuristic or the optimizer never engaging
+   is a regression, not a neutral result.  Writes
+   BENCH_dispatch{,_smoke}.json. *)
 
-(* Bounded: a divergence bug in the fast path could leave the PC stuck,
+let tiers =
+  Machine.
+    [
+      ("reference", Dispatch_ref);
+      ("cached", Dispatch_cached);
+      ("block", Dispatch_block);
+      ("chain", Dispatch_chain);
+      ("jit", Dispatch_jit);
+    ]
+
+let runs = 5
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* Bounded: a divergence bug in a fast tier could leave the PC stuck,
    and the CI gate must fail on that, not hang. *)
-let decode_run step m =
-  let fuel = 50_000_000 in
-  let rec go n =
-    if n > fuel then failwith "decode_cache: workload ran out of fuel"
-    else
-      match step m with
-      | Machine.Step_ok | Machine.Step_trap _ -> go (n + 1)
-      | Machine.Step_halted -> ()
-      | Machine.Step_waiting -> failwith "decode_cache: workload hit WFI"
-      | Machine.Step_double_fault -> failwith "decode_cache: double fault"
-  in
-  go 0
+let run_tier ~mk dispatch =
+  let m = mk () in
+  let t0 = now () in
+  (match Machine.run ~fuel:50_000_000 ~dispatch m with
+  | Machine.Step_halted, _ -> ()
+  | Machine.Step_waiting, _ -> failwith "dispatch: workload hit WFI"
+  | Machine.Step_double_fault, _ -> failwith "dispatch: double fault"
+  | (Machine.Step_ok | Machine.Step_trap _), _ ->
+      failwith "dispatch: workload ran out of fuel");
+  (now () -. t0, m)
 
-type path_timing = {
-  pt_insns : int;
-  pt_seconds : float;
-  pt_ips : float;
-  pt_hash : string;
-  pt_machine : Machine.t;
+type tier_result = {
+  tr_name : string;
+  tr_dispatch : Machine.dispatch;
+  tr_insns : int;
+  tr_hash : string;
+  tr_min : float;
+  tr_median : float;
+  tr_machine : Machine.t;  (* the last run's machine, for its counters *)
 }
 
-(* One timed run on a fresh machine, so the cached path pays its
-   cold-miss cost every time — no warm-cache flattery. *)
-let run_once ~mk ~fast =
-  let step = if fast then Machine.step_fast else Machine.step in
-  let m = mk () in
-  let t0 = Sys.time () in
-  decode_run step m;
-  (Sys.time () -. t0, m)
-
-(* Both paths are timed in an interleaved reference/cached sequence
-   (min of 5 pairs): host timing noise drifts over seconds, and
-   interleaving exposes both paths to the same drift instead of charging
-   it all to whichever path ran last. *)
-let time_paths ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let best_r = ref infinity and best_c = ref infinity in
-  let last_r = ref None and last_c = ref None in
-  for _ = 1 to 5 do
-    let dt_r, mr = run_once ~mk ~fast:false in
-    let dt_c, mc = run_once ~mk ~fast:true in
-    if dt_r < !best_r then best_r := dt_r;
-    if dt_c < !best_c then best_c := dt_c;
-    last_r := Some mr;
-    last_c := Some mc
+let time_tiers ~mk =
+  let tiers = Array.of_list tiers in
+  let times = Array.map (fun _ -> Array.make runs 0.0) tiers in
+  let last = Array.map (fun _ -> None) tiers in
+  for k = 0 to runs - 1 do
+    Array.iteri
+      (fun i (_, d) ->
+        let dt, m = run_tier ~mk d in
+        times.(i).(k) <- dt;
+        last.(i) <- Some m)
+      tiers
   done;
-  (finish !best_r (Option.get !last_r), finish !best_c (Option.get !last_c))
+  Array.to_list
+    (Array.mapi
+       (fun i (name, d) ->
+         let ts = times.(i) in
+         Array.sort compare ts;
+         let m = Option.get last.(i) in
+         {
+           tr_name = name;
+           tr_dispatch = d;
+           tr_insns = m.Machine.minstret;
+           tr_hash = Machine.state_hash m;
+           tr_min = ts.(0);
+           tr_median = ts.(runs / 2);
+           tr_machine = m;
+         })
+       tiers)
 
-let decode_cache ?(smoke = false) () =
+(* The counters each tier owns, as JSON fields. *)
+let tier_counters t =
+  let m = t.tr_machine in
+  let d = Machine.decode_stats m and s = Machine.block_stats m in
+  let ints = List.map (fun (k, v) -> (k, string_of_int v)) in
+  match t.tr_dispatch with
+  | Machine.Dispatch_ref -> []
+  | Dispatch_cached ->
+      ints
+        [
+          ("decode_hits", d.Cheriot_isa.Decode_cache.hits);
+          ("decode_misses", d.misses);
+          ("decode_invalidations", d.invalidations);
+        ]
+  | Dispatch_block ->
+      ints
+        [
+          ("block_hits", s.Machine.block_hits);
+          ("block_misses", s.block_misses);
+          ("block_invalidations", s.block_invalidations);
+          ("block_aborts", s.block_aborts);
+          ("blocks_filled", s.blocks_filled);
+        ]
+      @ [ ("avg_block_len", Printf.sprintf "%.2f" (Machine.avg_block_len s)) ]
+  | Dispatch_chain ->
+      ints
+        [
+          ("chain_hits", s.chain_hits);
+          ("chain_unlinks", s.chain_unlinks);
+          ("superblocks_formed", s.superblocks_formed);
+          ("side_exits", s.side_exits);
+        ]
+  | Dispatch_jit ->
+      ints
+        [
+          ("superblocks_formed", s.superblocks_formed);
+          ("jit_blocks_compiled", s.jit_blocks_compiled);
+          ("checks_eliminated", s.checks_eliminated);
+          ("checks_hoisted", s.checks_hoisted);
+          ("checks_hoisted_nonentry", s.checks_hoisted_nonentry);
+          ("dead_bookkeeping_removed", s.dead_bookkeeping_removed);
+          ("opt_side_exits", s.opt_side_exits);
+          ("jit_plans_rejected", s.jit_plans_rejected);
+        ]
+
+let tier_json t =
+  Printf.sprintf
+    "%S: {\"instructions\": %d, \"min_seconds\": %.6f, \"median_seconds\": \
+     %.6f, \"insns_per_sec\": %.0f%s}"
+    t.tr_name t.tr_insns t.tr_min t.tr_median
+    (float_of_int t.tr_insns /. max 1e-9 t.tr_min)
+    (String.concat ""
+       (List.map (fun (k, v) -> Printf.sprintf ", %S: %s" k v) (tier_counters t)))
+
+let dispatch_bench ?(smoke = false) () =
   section
-    (if smoke then "decode cache -- smoke (reduced workloads)"
-     else "decode cache -- reference vs cached dispatch");
+    (if smoke then "dispatch -- smoke (reduced workloads)"
+     else "dispatch -- every dispatch tier, interleaved");
   let workloads =
     [
       ( "coremark",
@@ -461,537 +530,85 @@ let decode_cache ?(smoke = false) () =
       );
     ]
   in
-  Format.printf "%-12s %12s %14s %14s %9s %7s@." "workload" "insns"
-    "ref insns/s" "cached insns/s" "speedup" "match";
+  Format.printf "%-12s %12s" "workload" "insns";
+  List.iter (fun (n, _) -> Format.printf " %13s" (n ^ " Mi/s")) tiers;
+  Format.printf " %7s@." "match";
   let diverged = ref false in
   let rows =
     List.map
       (fun (name, mk) ->
-        let r, c = time_paths ~mk in
-        let ok = r.pt_insns = c.pt_insns && r.pt_hash = c.pt_hash in
+        let ts = time_tiers ~mk in
+        let r = List.hd ts in
+        let ok =
+          List.for_all
+            (fun t -> t.tr_insns = r.tr_insns && t.tr_hash = r.tr_hash)
+            ts
+        in
         if not ok then begin
           diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d insns (hash %s), cached %d insns (hash \
-             %s)@."
-            name r.pt_insns r.pt_hash c.pt_insns c.pt_hash
+          Format.eprintf "DIVERGENCE on %s:%s@." name
+            (String.concat ""
+               (List.map
+                  (fun t -> Printf.sprintf " %s %d/%s" t.tr_name t.tr_insns t.tr_hash)
+                  ts))
         end;
-        let speedup = c.pt_ips /. r.pt_ips in
-        Format.printf "%-12s %12d %14.0f %14.0f %8.2fx %7s@." name r.pt_insns
-          r.pt_ips c.pt_ips speedup
-          (if ok then "yes" else "NO");
-        (name, r, c, speedup, ok))
+        Format.printf "%-12s %12d" name r.tr_insns;
+        List.iter
+          (fun t ->
+            Format.printf " %13.2f"
+              (float_of_int t.tr_insns /. max 1e-9 t.tr_min /. 1e6))
+          ts;
+        Format.printf " %7s@." (if ok then "yes" else "NO");
+        (name, ts, ok))
       workloads
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"bench\": \"decode_cache\",\n";
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n  \"bench\": \"dispatch\",\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
+    (Printf.sprintf
+       "  \"smoke\": %b,\n  \"clock\": \"monotonic\",\n  \"runs\": %d,\n\
+       \  \"workloads\": [\n"
+       smoke runs);
   List.iteri
-    (fun i (name, r, c, speedup, ok) ->
-      let st = Machine.decode_stats c.pt_machine in
+    (fun i (name, ts, ok) ->
       Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
-           \                \"decode_hits\": %d, \"decode_misses\": %d, \
-            \"decode_invalidations\": %d},\n\
-           \     \"speedup\": %.3f, \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips st.Cheriot_isa.Decode_cache.hits st.misses st.invalidations
-           speedup ok
+        (Printf.sprintf "    {\"name\": %S, \"state_match\": %b,\n     \"tiers\": {\n%s}}%s\n"
+           name ok
+           (String.concat ",\n"
+              (List.map (fun t -> "       " ^ tier_json t) ts))
            (if i < List.length rows - 1 then "," else "")))
     rows;
   Buffer.add_string buf "  ]\n}\n";
   (* The smoke run is a CI divergence gate, not a performance claim: keep
      it from clobbering the full-size numbers. *)
   let file =
-    if smoke then "BENCH_decode_cache_smoke.json" else "BENCH_decode_cache.json"
+    if smoke then "BENCH_dispatch_smoke.json" else "BENCH_dispatch.json"
   in
   let oc = open_out file in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Format.printf "@.wrote %s@." file;
   if !diverged then begin
-    prerr_endline "decode_cache: dispatch paths diverged";
-    exit 1
-  end
-
-(* --- basic-block translation benchmark ----------------------------------- *)
-
-(* Three-way differential timing: the reference interpreter, the
-   decoded-instruction cache, and the basic-block translation cache with
-   its batched run loop.  All three must retire identical instruction
-   counts and reach bit-identical architectural state; the block path's
-   win over [step_fast] is pure dispatch-overhead savings (no per-step
-   interrupt check, no per-step cache probe, prebuilt PCC chain).
-   Writes BENCH_block_exec.json. *)
-
-let block_run dispatch m =
-  match Machine.run ~fuel:50_000_000 ~dispatch m with
-  | Machine.Step_halted, _ -> ()
-  | Machine.Step_waiting, _ -> failwith "block_exec: workload hit WFI"
-  | Machine.Step_double_fault, _ -> failwith "block_exec: double fault"
-  | (Machine.Step_ok | Machine.Step_trap _), _ ->
-      failwith "block_exec: workload ran out of fuel"
-
-let block_run_once ~mk dispatch =
-  let m = mk () in
-  let t0 = Sys.time () in
-  block_run dispatch m;
-  (Sys.time () -. t0, m)
-
-(* Interleaved min-of-5 triplets on fresh machines, for the same reasons
-   as [time_paths]. *)
-let time_three ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let paths =
-    [| Machine.Dispatch_ref; Machine.Dispatch_cached; Machine.Dispatch_block |]
-  in
-  let best = Array.make 3 infinity in
-  let last = Array.make 3 None in
-  for _ = 1 to 5 do
-    Array.iteri
-      (fun i d ->
-        let dt, m = block_run_once ~mk d in
-        if dt < best.(i) then best.(i) <- dt;
-        last.(i) <- Some m)
-      paths
-  done;
-  Array.init 3 (fun i -> finish best.(i) (Option.get last.(i)))
-
-let block_exec ?(smoke = false) () =
-  section
-    (if smoke then "block exec -- smoke (reduced workloads)"
-     else "block exec -- reference vs cached vs block dispatch");
-  let workloads =
-    [
-      ( "coremark",
-        fun () ->
-          Coremark.setup
-            ~iterations:(if smoke then 2 else 40)
-            (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-      );
-      ( "alloc_bench",
-        fun () -> Alloc_bench.isa_setup ~rounds:(if smoke then 5 else 400) ()
-      );
-      ( "iot_app",
-        fun () -> Iot_app.isa_setup ~packets:(if smoke then 10 else 1500) ()
-      );
-    ]
-  in
-  Format.printf "%-12s %12s %13s %13s %13s %8s %8s %7s@." "workload" "insns"
-    "ref i/s" "cached i/s" "block i/s" "vs ref" "vs cach" "match";
-  let diverged = ref false in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let p = time_three ~mk in
-        let r = p.(0) and c = p.(1) and b = p.(2) in
-        let ok =
-          r.pt_insns = c.pt_insns
-          && c.pt_insns = b.pt_insns
-          && r.pt_hash = c.pt_hash
-          && c.pt_hash = b.pt_hash
-        in
-        if not ok then begin
-          diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d/%s cached %d/%s block %d/%s@." name
-            r.pt_insns r.pt_hash c.pt_insns c.pt_hash b.pt_insns b.pt_hash
-        end;
-        let vs_ref = b.pt_ips /. r.pt_ips in
-        let vs_cached = b.pt_ips /. c.pt_ips in
-        Format.printf "%-12s %12d %13.0f %13.0f %13.0f %7.2fx %7.2fx %7s@."
-          name r.pt_insns r.pt_ips c.pt_ips b.pt_ips vs_ref vs_cached
-          (if ok then "yes" else "NO");
-        (name, r, c, b, ok))
-      workloads
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"bench\": \"block_exec\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
-  List.iteri
-    (fun i (name, r, c, b, ok) ->
-      let bs = Machine.block_stats b.pt_machine in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"block\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
-           \               \"block_hits\": %d, \"block_misses\": %d, \
-            \"block_invalidations\": %d,\n\
-           \               \"block_aborts\": %d, \"blocks_filled\": %d, \
-            \"avg_block_len\": %.2f},\n\
-           \     \"speedup_vs_reference\": %.3f, \"speedup_vs_cached\": \
-            %.3f, \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips b.pt_insns b.pt_seconds b.pt_ips
-           bs.Machine.block_hits bs.Machine.block_misses
-           bs.Machine.block_invalidations bs.Machine.block_aborts
-           bs.Machine.blocks_filled (Machine.avg_block_len bs)
-           (b.pt_ips /. r.pt_ips)
-           (b.pt_ips /. c.pt_ips)
-           ok
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let file =
-    if smoke then "BENCH_block_exec_smoke.json" else "BENCH_block_exec.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if !diverged then begin
-    prerr_endline "block_exec: dispatch paths diverged";
-    exit 1
-  end
-
-(* --- block chaining + superblock benchmark ------------------------------- *)
-
-(* Four-way differential timing adding the chained dispatch path
-   ([Dispatch_chain]: direct block-to-block links plus trace-driven
-   superblocks) to the [block_exec] trio.  All four must retire
-   identical instruction counts and reach bit-identical architectural
-   state; the acceptance target is the chain path's win over the PR 2
-   block path.  Writes BENCH_chain_exec.json with the chain/superblock
-   counters. *)
-
-let chain_dispatches =
-  [|
-    Machine.Dispatch_ref;
-    Machine.Dispatch_cached;
-    Machine.Dispatch_block;
-    Machine.Dispatch_chain;
-  |]
-
-(* Interleaved min-of-5 quadruplets on fresh machines, for the same
-   reasons as [time_paths]. *)
-let time_four ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let n = Array.length chain_dispatches in
-  let best = Array.make n infinity in
-  let last = Array.make n None in
-  for _ = 1 to 5 do
-    Array.iteri
-      (fun i d ->
-        let dt, m = block_run_once ~mk d in
-        if dt < best.(i) then best.(i) <- dt;
-        last.(i) <- Some m)
-      chain_dispatches
-  done;
-  Array.init n (fun i -> finish best.(i) (Option.get last.(i)))
-
-let chain_exec ?(smoke = false) () =
-  section
-    (if smoke then "chain exec -- smoke (reduced workloads)"
-     else "chain exec -- block dispatch vs chained blocks + superblocks");
-  let workloads =
-    [
-      ( "coremark",
-        fun () ->
-          Coremark.setup
-            ~iterations:(if smoke then 2 else 40)
-            (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-      );
-      ( "alloc_bench",
-        fun () -> Alloc_bench.isa_setup ~rounds:(if smoke then 5 else 400) ()
-      );
-      ( "iot_app",
-        fun () -> Iot_app.isa_setup ~packets:(if smoke then 10 else 1500) ()
-      );
-    ]
-  in
-  Format.printf "%-12s %12s %13s %13s %8s %8s %7s@." "workload" "insns"
-    "block i/s" "chain i/s" "vs blk" "vs ref" "match";
-  let diverged = ref false in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let p = time_four ~mk in
-        let r = p.(0) and c = p.(1) and b = p.(2) and ch = p.(3) in
-        let ok =
-          Array.for_all
-            (fun q -> q.pt_insns = r.pt_insns && q.pt_hash = r.pt_hash)
-            p
-        in
-        if not ok then begin
-          diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d/%s cached %d/%s block %d/%s chain %d/%s@."
-            name r.pt_insns r.pt_hash c.pt_insns c.pt_hash b.pt_insns b.pt_hash
-            ch.pt_insns ch.pt_hash
-        end;
-        let vs_block = ch.pt_ips /. b.pt_ips in
-        let vs_ref = ch.pt_ips /. r.pt_ips in
-        Format.printf "%-12s %12d %13.0f %13.0f %7.2fx %7.2fx %7s@." name
-          r.pt_insns b.pt_ips ch.pt_ips vs_block vs_ref
-          (if ok then "yes" else "NO");
-        (name, r, c, b, ch, ok))
-      workloads
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"bench\": \"chain_exec\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
-  List.iteri
-    (fun i (name, r, c, b, ch, ok) ->
-      let cs = Machine.block_stats ch.pt_machine in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"block\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"chain\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
-           \               \"block_hits\": %d, \"block_misses\": %d, \
-            \"block_invalidations\": %d,\n\
-           \               \"block_aborts\": %d, \"blocks_filled\": %d, \
-            \"avg_block_len\": %.2f,\n\
-           \               \"chain_hits\": %d, \"chain_unlinks\": %d, \
-            \"superblocks_formed\": %d, \"side_exits\": %d},\n\
-           \     \"speedup_vs_block\": %.3f, \"speedup_vs_reference\": %.3f, \
-            \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips b.pt_insns b.pt_seconds b.pt_ips ch.pt_insns ch.pt_seconds
-           ch.pt_ips cs.Machine.block_hits cs.Machine.block_misses
-           cs.Machine.block_invalidations cs.Machine.block_aborts
-           cs.Machine.blocks_filled (Machine.avg_block_len cs)
-           cs.Machine.chain_hits cs.Machine.chain_unlinks
-           cs.Machine.superblocks_formed cs.Machine.side_exits
-           (ch.pt_ips /. b.pt_ips)
-           (ch.pt_ips /. r.pt_ips)
-           ok
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let file =
-    if smoke then "BENCH_chain_exec_smoke.json" else "BENCH_chain_exec.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if !diverged then begin
-    prerr_endline "chain_exec: dispatch paths diverged";
+    prerr_endline "dispatch: dispatch tiers diverged";
     exit 1
   end;
-  (* The chained tier only pays off if the trace heuristic actually
-     fires: at least one workload must have formed a superblock, or the
-     heuristic has regressed into never triggering. *)
-  if
-    not
-      (List.exists
-         (fun (_, _, _, _, ch, _) ->
-           (Machine.block_stats ch.pt_machine).Machine.superblocks_formed > 0)
-         rows)
-  then begin
-    prerr_endline "chain_exec: no workload formed any superblock";
-    exit 1
-  end
-
-(* --- trace-jit benchmark -------------------------------------------------- *)
-
-(* Five-way differential timing adding the optimizing jit tier
-   ([Dispatch_jit]: chained superblock rounds executing per-block check
-   plans from [Ir.optimize]) to the [chain_exec] set.  All five must
-   retire identical instruction counts and reach bit-identical
-   architectural state; the interesting numbers are the jit tier's win
-   over the chain path and the optimizer counters (eliminated / hoisted
-   checks, removed bookkeeping, opt side exits).  Writes
-   BENCH_jit_exec.json, and fails the run if no workload formed a
-   superblock or eliminated a check — the optimizer never engaging is a
-   regression, not a neutral result. *)
-
-let jit_dispatches =
-  [|
-    Machine.Dispatch_ref;
-    Machine.Dispatch_cached;
-    Machine.Dispatch_block;
-    Machine.Dispatch_chain;
-    Machine.Dispatch_jit;
-  |]
-
-(* Interleaved min-of-5 quintuplets on fresh machines, for the same
-   reasons as [time_paths]. *)
-let time_five ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let n = Array.length jit_dispatches in
-  let best = Array.make n infinity in
-  let last = Array.make n None in
-  for _ = 1 to 5 do
-    Array.iteri
-      (fun i d ->
-        let dt, m = block_run_once ~mk d in
-        if dt < best.(i) then best.(i) <- dt;
-        last.(i) <- Some m)
-      jit_dispatches
-  done;
-  Array.init n (fun i -> finish best.(i) (Option.get last.(i)))
-
-let jit_exec ?(smoke = false) () =
-  section
-    (if smoke then "jit exec -- smoke (reduced workloads)"
-     else "jit exec -- chained blocks vs optimizing trace jit");
-  let workloads =
-    [
-      ( "coremark",
-        fun () ->
-          Coremark.setup
-            ~iterations:(if smoke then 2 else 40)
-            (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-      );
-      ( "alloc_bench",
-        fun () -> Alloc_bench.isa_setup ~rounds:(if smoke then 5 else 400) ()
-      );
-      ( "iot_app",
-        fun () -> Iot_app.isa_setup ~packets:(if smoke then 10 else 1500) ()
-      );
-    ]
-  in
-  Format.printf "%-12s %12s %13s %13s %8s %8s %7s@." "workload" "insns"
-    "chain i/s" "jit i/s" "vs chn" "vs ref" "match";
-  let diverged = ref false in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let p = time_five ~mk in
-        let r = p.(0) and c = p.(1) and b = p.(2) and ch = p.(3) in
-        let j = p.(4) in
-        let ok =
-          Array.for_all
-            (fun q -> q.pt_insns = r.pt_insns && q.pt_hash = r.pt_hash)
-            p
-        in
-        if not ok then begin
-          diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d/%s cached %d/%s block %d/%s chain \
-             %d/%s jit %d/%s@."
-            name r.pt_insns r.pt_hash c.pt_insns c.pt_hash b.pt_insns b.pt_hash
-            ch.pt_insns ch.pt_hash j.pt_insns j.pt_hash
-        end;
-        let vs_chain = j.pt_ips /. ch.pt_ips in
-        let vs_ref = j.pt_ips /. r.pt_ips in
-        Format.printf "%-12s %12d %13.0f %13.0f %7.2fx %7.2fx %7s@." name
-          r.pt_insns ch.pt_ips j.pt_ips vs_chain vs_ref
-          (if ok then "yes" else "NO");
-        (name, r, c, b, ch, j, ok))
-      workloads
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"bench\": \"jit_exec\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
-  List.iteri
-    (fun i (name, r, c, b, ch, j, ok) ->
-      let js = Machine.block_stats j.pt_machine in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"block\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"chain\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"jit\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
-           \             \"block_hits\": %d, \"block_misses\": %d, \
-            \"block_invalidations\": %d,\n\
-           \             \"block_aborts\": %d, \"blocks_filled\": %d, \
-            \"avg_block_len\": %.2f,\n\
-           \             \"chain_hits\": %d, \"chain_unlinks\": %d, \
-            \"superblocks_formed\": %d, \"side_exits\": %d,\n\
-           \             \"jit_blocks_compiled\": %d, \"checks_eliminated\": \
-            %d, \"checks_hoisted\": %d,\n\
-           \             \"checks_hoisted_nonentry\": %d, \
-            \"dead_bookkeeping_removed\": %d,\n\
-           \             \"opt_side_exits\": %d, \"jit_plans_rejected\": \
-            %d},\n\
-           \     \"speedup_vs_chain\": %.3f, \"speedup_vs_block\": %.3f, \
-            \"speedup_vs_reference\": %.3f, \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips b.pt_insns b.pt_seconds b.pt_ips ch.pt_insns ch.pt_seconds
-           ch.pt_ips j.pt_insns j.pt_seconds j.pt_ips js.Machine.block_hits
-           js.Machine.block_misses js.Machine.block_invalidations
-           js.Machine.block_aborts js.Machine.blocks_filled
-           (Machine.avg_block_len js) js.Machine.chain_hits
-           js.Machine.chain_unlinks js.Machine.superblocks_formed
-           js.Machine.side_exits js.Machine.jit_blocks_compiled
-           js.Machine.checks_eliminated js.Machine.checks_hoisted
-           js.Machine.checks_hoisted_nonentry
-           js.Machine.dead_bookkeeping_removed js.Machine.opt_side_exits
-           js.Machine.jit_plans_rejected
-           (j.pt_ips /. ch.pt_ips)
-           (j.pt_ips /. b.pt_ips)
-           (j.pt_ips /. r.pt_ips)
-           ok
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let file =
-    if smoke then "BENCH_jit_exec_smoke.json" else "BENCH_jit_exec.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if !diverged then begin
-    prerr_endline "jit_exec: dispatch paths diverged";
-    exit 1
-  end;
-  let some f =
+  let some tier f =
     List.exists
-      (fun (_, _, _, _, _, j, _) ->
-        f (Machine.block_stats j.pt_machine) > 0)
+      (fun (_, ts, _) ->
+        List.exists
+          (fun t -> t.tr_name = tier && f (Machine.block_stats t.tr_machine) > 0)
+          ts)
       rows
   in
-  if not (some (fun s -> s.Machine.superblocks_formed)) then begin
-    prerr_endline "jit_exec: no workload formed any superblock";
-    exit 1
-  end;
-  if not (some (fun s -> s.Machine.checks_eliminated)) then begin
-    prerr_endline "jit_exec: optimizer eliminated no checks on any workload";
+  List.iter
+    (fun tier ->
+      if not (some tier (fun s -> s.Machine.superblocks_formed)) then begin
+        Printf.eprintf "dispatch: no workload formed any superblock (%s)\n" tier;
+        exit 1
+      end)
+    [ "chain"; "jit" ];
+  if not (some "jit" (fun s -> s.Machine.checks_eliminated)) then begin
+    prerr_endline "dispatch: optimizer eliminated no checks on any workload";
     exit 1
   end
 
@@ -1227,10 +844,7 @@ let all () =
   fig56 Core_model.Ibex "6" ibex;
   iot ();
   ablations ();
-  decode_cache ();
-  block_exec ();
-  chain_exec ();
-  jit_exec ();
+  dispatch_bench ();
   audit_bench ();
   audit_incremental_bench ();
   planverify_bench ();
@@ -1247,14 +861,8 @@ let () =
   | [| _; "fig6" |] -> fig56 Core_model.Ibex "6" (run_alloc_table Core_model.Ibex)
   | [| _; "iot" |] -> iot ()
   | [| _; "ablations" |] -> ablations ()
-  | [| _; "decode_cache" |] -> decode_cache ()
-  | [| _; "decode_cache"; "smoke" |] -> decode_cache ~smoke:true ()
-  | [| _; "block_exec" |] -> block_exec ()
-  | [| _; "block_exec"; "smoke" |] -> block_exec ~smoke:true ()
-  | [| _; "chain_exec" |] -> chain_exec ()
-  | [| _; "chain_exec"; "smoke" |] -> chain_exec ~smoke:true ()
-  | [| _; "jit_exec" |] -> jit_exec ()
-  | [| _; "jit_exec"; "smoke" |] -> jit_exec ~smoke:true ()
+  | [| _; "dispatch" |] -> dispatch_bench ()
+  | [| _; "dispatch"; "smoke" |] -> dispatch_bench ~smoke:true ()
   | [| _; "audit" |] -> audit_bench ()
   | [| _; "audit"; "smoke" |] -> audit_bench ~smoke:true ()
   | [| _; "audit_incremental" |] -> audit_incremental_bench ()
@@ -1266,8 +874,7 @@ let () =
   | _ ->
       prerr_endline
         "usage: main.exe \
-         [table1|table2|table3|table4|fig5|fig6|iot|ablations|decode_cache \
-         [smoke]|block_exec [smoke]|chain_exec [smoke]|jit_exec \
+         [table1|table2|table3|table4|fig5|fig6|iot|ablations|dispatch \
          [smoke]|audit [smoke]|audit_incremental [smoke]|planverify \
          [smoke]|micro]";
       exit 2

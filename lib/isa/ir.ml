@@ -166,7 +166,7 @@ let def_of (i : Insn.t) =
 
 (* Ops whose PCC/minstret/event epilogue the executor defers (pass 3's
    accounting): everything that neither reads the PC/CSRs nor transfers
-   control.  Mirrors the deferral classes of [Machine.exec_chain_fast]. *)
+   control.  Mirrors the deferral classes of [Machine.exec_fast]. *)
 let deferrable (i : Insn.t) =
   match i with
   | Lui _ | Op_imm _ | Op _ | Mul_div _ | Load _ | Store _ | Clc _ | Csc _

@@ -154,7 +154,7 @@ type t = {
   mutable fm_sram : Sram.t;
   mutable fm_base : int;
   mutable fm_limit : int;
-  (* Per-round retirement ring filled by [step_block]/[step_chain] so
+  (* Per-round retirement ring filled by [step_round] so
      the perf harness and tracer can charge each retired instruction of
      a block individually: parallel arrays of (copied) events, their
      PCs, and a control-flow mark (see [mark_chained]/[mark_side_exit])
@@ -228,7 +228,7 @@ and bentry = {
   b_pcc : Capability.t;  (* fetch ticket: the fill-time block-start PCC *)
   b_start : int;  (* address of b_insns.(0) *)
   b_len : int;
-  (* Direct chain slots (Dispatch_chain only): when the block ends in a
+  (* Direct chain slots (chain and jit tiers): when the block ends in a
      direct [Jal] or a [Branch], the validated successor block of each
      edge is cached here with the cache's chain epoch at link time.  A
      link whose epoch still matches is followed without probing the
@@ -285,7 +285,7 @@ let max_block_len = 16
    which data stores never do. *)
 let max_superblock_len = 64
 
-(* Fuel ceiling of one recorded dispatch round ([step_chain]): bounds
+(* Fuel ceiling of one recorded dispatch round ([step_round]): bounds
    the retirement ring.  A chained round ends early when fuel runs out,
    so any cap is exact; this one is big enough that chaining still
    amortises under the perf harness. *)
@@ -1475,7 +1475,9 @@ let mark_side_exit = 2
 let mark_jit = 3
 let mark_opt_side_exit = 4
 
-(* Execute (a prefix of) a validated block.  The PCC sits at
+(* The recording executor: execute (a prefix of) a validated block
+   through the generic [exec] arms, copying every retired instruction's
+   event into the ring.  The PCC sits at
    [b.b_start]; the caller has established that no interrupt is
    deliverable, and the body invariant (see [block_terminator]) keeps
    that true across every non-final instruction.  Returns
@@ -1489,7 +1491,7 @@ let mark_opt_side_exit = 4
    live bytes.  Abandonment at {e block} granularity is conservative —
    the store may have patched an already-executed word — but always
    correct, and self-modifying code is rare. *)
-let exec_block m (b : bentry) ~fuel ~record =
+let exec_block m (b : bentry) ~fuel =
   let bc = m.bcache in
   let slot = Decode_cache.slot bc.Decode_cache.rc b.b_start in
   let n = if fuel < b.b_len then fuel else b.b_len in
@@ -1506,7 +1508,7 @@ let exec_block m (b : bentry) ~fuel ~record =
            (Array.unsafe_get b.b_nexts i)
        in
        incr retired;
-       if record then record_event m (b.b_start + (4 * i));
+       record_event m (b.b_start + (4 * i));
        match r with
        | Step_ok ->
            if m.last_event.ev_taken_branch && !retired < b.b_len then begin
@@ -1516,7 +1518,7 @@ let exec_block m (b : bentry) ~fuel ~record =
                 generic [exec] arm already left exact PCC / minstret /
                 event state, so stopping {e is} the stub. *)
              bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-             if record then m.block_marks.(m.block_ev_n - 1) <- mark_side_exit;
+             m.block_marks.(m.block_ev_n - 1) <- mark_side_exit;
              stop := true
            end
            else if
@@ -1535,170 +1537,9 @@ let exec_block m (b : bentry) ~fuel ~record =
    with Trap cause ->
      m.last_event <- { no_event with ev_trap = Some cause };
      incr retired;
-     if record then record_event m (b.b_start + (4 * (!retired - 1)));
+     record_event m (b.b_start + (4 * (!retired - 1)));
      result := enter_trap m cause);
   (!result, !retired)
-
-(* Batched-run variant of [exec_block] (the [record:false] path): same
-   semantics, but PCC / minstret / retirement-event bookkeeping is
-   deferred across runs of simple instructions.  Two deferral classes:
-
-   - ALU (Lui, Op_imm, Op, Mul_div): only read and write integer
-     registers — they never consult [pcc], [minstret] or [last_event],
-     cannot trap (the ALU helpers are total — division by zero is
-     defined) and always fall through, so they run with the
-     architectural PC left stale.
-
-   - Integer Load / Store: can trap, so [sync] runs {e first} — at the
-     faulting instruction the architectural state (PCC for [mepcc],
-     minstret) is exact.  On success the epilogue (fall-through PCC
-     store, minstret bump, event stores) is deferred like an ALU op's.
-
-   Everything else [sync]s and takes the generic [exec] path (it may
-   read the PC or inspect CSRs).  [sync] replays the deferred
-   bookkeeping in one step: minstret jumps by the run length and the
-   PCC installs the prebuilt fall-through of the {e last} deferred
-   instruction — bitwise the value the per-step path would have left.
-   When the round {e ends} on a deferred run, the final [last_event] is
-   materialised from the last instruction (its event is a function of
-   the decoded instruction alone for every deferred class), so the
-   observable state matches the per-step path exactly. *)
-let exec_block_fast m (b : bentry) ~fuel =
-  let bc = m.bcache in
-  let slot = Decode_cache.slot bc.Decode_cache.rc b.b_start in
-  let tags = bc.Decode_cache.rc.Decode_cache.tags in
-  let n = if fuel < b.b_len then fuel else b.b_len in
-  let insns = b.b_insns and opts = b.b_opts and nexts = b.b_nexts in
-  let i = ref 0 in
-  let pending = ref 0 in
-  let result = ref Step_ok in
-  let stop = ref false in
-  let sync () =
-    if !pending > 0 then begin
-      m.minstret <- m.minstret + !pending;
-      (match Array.unsafe_get nexts (!i - 1) with
-      | Some c -> m.pcc <- c
-      | None -> ());
-      pending := 0
-    end
-  in
-  (try
-     while (not !stop) && !i < n do
-       (match Array.unsafe_get insns !i with
-       | Insn.Lui (rd, imm20) ->
-           set_reg_int m rd (imm20 lsl 12);
-           incr pending
-       | Insn.Op_imm (op, rd, rs1, imm) ->
-           set_reg_int m rd (alu_exec op (reg_int m rs1) (imm land mask32));
-           incr pending
-       | Insn.Op (op, rd, rs1, rs2) ->
-           set_reg_int m rd (alu_exec op (reg_int m rs1) (reg_int m rs2));
-           incr pending
-       | Insn.Mul_div (op, rd, rs1, rs2) ->
-           set_reg_int m rd (muldiv_exec op (reg_int m rs1) (reg_int m rs2));
-           incr pending
-       | Insn.Load { signed; width; rd; rs1; off } ->
-           sync ();
-           ignore (do_load m ~ridx:rs1 ~rs1 ~off ~width ~signed ~rd);
-           incr pending
-       | Insn.Store { width; rs2; rs1; off } ->
-           sync ();
-           ignore (do_store m ~ridx:rs1 ~rs1 ~off ~width ~rs2);
-           incr pending;
-           if Array.unsafe_get tags slot <> b.b_start then begin
-             m.block_aborts <- m.block_aborts + 1;
-             stop := true
-           end
-       | Insn.Clc (rd, rs1, off) ->
-           sync ();
-           do_clc m ~rd ~rs1 ~off;
-           incr pending
-       | Insn.Csc (rs2, rs1, off) ->
-           sync ();
-           do_csc m ~rs2 ~rs1 ~off;
-           incr pending;
-           if Array.unsafe_get tags slot <> b.b_start then begin
-             m.block_aborts <- m.block_aborts + 1;
-             stop := true
-           end
-       | ( Insn.Cincaddr _ | Insn.Cincaddrimm _ | Insn.Csetaddr _
-         | Insn.Csetbounds _ | Insn.Csetboundsexact _ | Insn.Csetboundsimm _
-         | Insn.Crrl _ | Insn.Cram _ | Insn.Candperm _ | Insn.Ccleartag _
-         | Insn.Cmove _ | Insn.Cseal _ | Insn.Cunseal _ | Insn.Cget _
-         | Insn.Csub _ | Insn.Ctestsubset _ | Insn.Csetequalexact _ ) as insn
-         ->
-           (* register-pure capability arithmetic: may trap (so [sync]
-              first) but never reads the PC or CSRs — [Cspecialrw] is
-              the one exception and takes the generic arm below *)
-           sync ();
-           exec_cap m insn;
-           incr pending
-       | insn -> (
-           sync ();
-           match
-             exec m insn
-               (Array.unsafe_get opts !i)
-               (Array.unsafe_get nexts !i)
-           with
-           | Step_ok ->
-               if m.last_event.ev_taken_branch && !i < b.b_len - 1 then begin
-                 (* superblock side exit, as in [exec_block]; [exec]
-                    left the exact post-branch state *)
-                 bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-                 stop := true
-               end
-               else if
-                 m.last_event.ev_is_store
-                 && Array.unsafe_get tags slot <> b.b_start
-               then begin
-                 m.block_aborts <- m.block_aborts + 1;
-                 stop := true
-               end
-           | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault)
-             as r ->
-               result := r;
-               stop := true));
-       incr i
-     done;
-     if !pending > 0 then begin
-       m.minstret <- m.minstret + !pending;
-       (match Array.unsafe_get nexts (!i - 1) with
-       | Some c -> m.pcc <- c
-       | None -> ());
-       pending := 0;
-       let ev = m.last_event in
-       (match Array.unsafe_get insns (!i - 1) with
-       | Insn.Load { width; _ } ->
-           ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- false
-       | Insn.Store { width; _ } ->
-           ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- true
-       | Insn.Clc _ ->
-           ev.ev_mem_bytes <- 8;
-           ev.ev_is_cap_mem <- true;
-           ev.ev_is_store <- false
-       | Insn.Csc _ ->
-           ev.ev_mem_bytes <- 8;
-           ev.ev_is_cap_mem <- true;
-           ev.ev_is_store <- true
-       | _ ->
-           ev.ev_mem_bytes <- 0;
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- false);
-       ev.ev_insn <- Array.unsafe_get opts (!i - 1);
-       ev.ev_taken_branch <- false;
-       ev.ev_trap <- None
-     end
-   with Trap cause ->
-     (* only a non-deferred instruction can raise, and [sync] ran just
-        before it — the deferred window is always empty here *)
-     m.last_event <- { no_event with ev_trap = Some cause };
-     incr i;
-     result := enter_trap m cause);
-  (!result, !i)
 
 (* Adaptive hotness: every 1024 edge resolutions, compare the unlink
    rate against a fixed budget.  Lots of unlinks means translations are
@@ -1847,9 +1688,9 @@ let chain_edge_ind m (b : bentry) =
 
 (* The recording path's entry point: derive the edge from the
    terminator and the architectural event (the generic [exec] arm set
-   [ev_taken_branch]); the merged fast executors call [chain_edge] /
-   [chain_edge_ind] directly because they track the branch direction
-   themselves.  A [Jalr] may have entered through a sentry that
+   [ev_taken_branch]); [exec_fast] calls [chain_edge] /
+   [chain_edge_ind] directly because it tracks the branch direction
+   itself.  A [Jalr] may have entered through a sentry that
    enabled interrupts, so its edge chains only when the delivery
    predicate is still false — the same check the next round would run
    first (and [mcycle]/[ext_interrupt] cannot move inside a round, so
@@ -1960,23 +1801,78 @@ let compile_jit m (b : bentry) =
   b.b_jit <- Some t;
   t
 
-(* The whole-round chained executor (the [record:false],
-   [Dispatch_chain] hot path): [exec_block_fast]'s deferred-bookkeeping
-   loop, with block-to-block transfers resolved {e inside} the loop via
-   [chain_next].  Keeping one set of loop state alive across every
-   block of the round is the point — the per-block costs of the
-   composed design (a fresh executor call per block: its refs, its
-   [sync] closure, its result tuple) are paid once per {e round}, which
-   in a hot loop is once per thousands of instructions.  Instruction
-   semantics, store-abort, side-exit and trap behaviour are exactly
-   [exec_block_fast]'s, with one further specialization: the edge
-   instructions ([Jal], [Branch]) run in dedicated inline arms that
-   write their event fields only when the round actually ends on them —
-   on a chained transfer the successor's instructions rewrite (or
-   re-defer) the event anyway.  A [sync] at the chain point before
-   every transfer keeps the PCC and retire counts exact even when the
-   edge was a deferred fall-through. *)
-let exec_chain_fast m (b0 : bentry) ~fuel =
+(* The plan the block and chain tiers run every block under: every
+   access fully checked, no entry guards, no control-flow folds — the
+   ground truth §14's verifier proves each compiled plan against.  One
+   shared record sized for the longest superblock serves every block,
+   so the executor's per-instruction loop is the same on every tier. *)
+let full_plan =
+  {
+    j_chk = Array.make max_superblock_len Ir.Chk_full;
+    j_guards = [||];
+    j_br = Array.make max_superblock_len Capability.null;
+    j_jal_target = Capability.null;
+    j_link_on = Capability.null;
+    j_link_off = Capability.null;
+  }
+
+(* The fast round executor of the block, chain and jit tiers (the
+   [record:false] path).  It runs validated blocks with the same
+   semantics as the generic [exec] arms, and with two settings derived
+   from the dispatch tier:
+
+   - [links]: at the end of a block, resolve the successor through
+     [chain_edge]/[chain_edge_ind] and keep going inside the same round
+     while fuel remains; a taken interior branch of a superblock probes
+     for a translated block at its target and continues there on a hit.
+     Off ([Dispatch_block]), the round ends at the chain point and at
+     every side exit.  Edge instructions cannot change the interrupt-
+     delivery predicate, so not re-checking it between linked blocks is
+     exactly per-step equivalent (a completed [Jalr] may have changed
+     the posture through a sentry, so its edge re-checks the predicate).
+   - [plan]: run each block under its compiled plan ([compile_jit] on
+     first entry).  Off, every block runs under [full_plan].  A compiled
+     plan specializes three things, none architecturally observable:
+     the memory arms run only the {e residual} checks of the
+     per-instruction [Ir.chk] — the elided checks are exactly those a
+     dominating check or a block-entry guard already proved would pass;
+     the block-entry guards run once per block execution, and if any
+     fails this execution runs with full per-access checks (the opt
+     side exit: deoptimization in place — a faulting access traps at
+     its own instruction with its own cause); and in-bounds direct
+     branches and the final [Jal] use their folded target (and link-
+     sentry) capabilities, value-equal to what the per-step path
+     computes.
+
+   PCC / minstret / retirement-event bookkeeping is deferred across
+   runs of instructions that read neither the PC, [minstret] nor the
+   CSRs: the ALU ops (total — they cannot trap), the integer and
+   capability memory accesses and the register-pure capability
+   arithmetic.  [pending] counts the deferred instructions and [sync]
+   replays them in one step: minstret jumps by the run length and the
+   PCC installs the prebuilt fall-through of the {e last} deferred
+   instruction — bitwise the value the per-step path would have left.
+   A deferred instruction that traps leaves [pending] covering only the
+   instructions before it, so the trap handler's [sync] points the PCC
+   exactly at the raiser for [enter_trap].  Everything else [sync]s and
+   takes the generic [exec] arm, except the edge instructions ([Jal],
+   [Branch]), which run inline and write their event only if the round
+   ends on them — on a linked transfer the successor's instructions
+   rewrite (or re-defer) it anyway.  When the round ends on a deferred
+   run, the final [last_event] is materialised from the last
+   instruction (its event is a function of the decoded instruction
+   alone for every deferred class), so the observable state matches
+   the per-step path exactly.
+
+   Store-abort: a store that kills the running block's own translation
+   abandons the rest of it — the remaining decoded entries are stale —
+   and the next round re-translates from the live bytes.
+
+   Keeping one set of loop state alive across every block of the round
+   is the point of the merged design: the per-block costs (refs, the
+   [sync] closure, the result tuple) are paid once per round, which in
+   a hot loop is once per thousands of instructions. *)
+let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
   let bc = m.bcache in
   let rc = bc.Decode_cache.rc in
   let tags = rc.Decode_cache.tags in
@@ -2004,28 +1900,13 @@ let exec_chain_fast m (b0 : bentry) ~fuel =
   let br_taken = ref false in
   (* continuation block selected by a side-exit probe ([dummy] = none) *)
   let cont = ref dummy in
-  (* materialize the event of an inline-handled edge instruction when
-     the round ends on it (on a chained transfer it is skipped: the
-     successor's instructions overwrite or re-defer it) — field-for-
-     field what [finish ~taken] / the deferred epilogue would write *)
-  let edge_event opt taken =
+  (* the event of instruction [k] of [blk] when the round ends after it
+     with the deferred window drained (an inline edge instruction, or a
+     deferred one): the fields are rebuilt by class — field-for-field
+     what [finish] would write *)
+  let end_event blk k taken =
     let ev = m.last_event in
-    ev.ev_insn <- opt;
-    ev.ev_taken_branch <- taken;
-    ev.ev_mem_bytes <- 0;
-    ev.ev_is_cap_mem <- false;
-    ev.ev_is_store <- false;
-    ev.ev_trap <- None
-  in
-  (* materialize the event of the block's final instruction when the
-     round ends at the chain point: [sync] has drained the deferred
-     window there, and a cap-ended block's last instruction may be a
-     memory access, so the fields are rebuilt by class — field-for-
-     field what [finish] / the deferred epilogue would write *)
-  let end_event blk taken =
-    let last = blk.b_len - 1 in
-    let ev = m.last_event in
-    (match Array.unsafe_get blk.b_insns last with
+    (match Array.unsafe_get blk.b_insns k with
     | Insn.Load { width; _ } ->
         ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
         ev.ev_is_cap_mem <- false;
@@ -2046,328 +1927,14 @@ let exec_chain_fast m (b0 : bentry) ~fuel =
         ev.ev_mem_bytes <- 0;
         ev.ev_is_cap_mem <- false;
         ev.ev_is_store <- false);
-    ev.ev_insn <- Array.unsafe_get blk.b_opts last;
+    ev.ev_insn <- Array.unsafe_get blk.b_opts k;
     ev.ev_taken_branch <- taken;
     ev.ev_trap <- None
   in
   (try
      while not !stop do
        (* per-block: bind the block's arrays as immutables so the inner
-          per-instruction loop is register-local, exactly like
-          [exec_block_fast] — the merged executor must not pay an extra
-          indirection per field access or it gives back the per-block
-          savings it exists to collect *)
-       let blk = !b in
-       let insns = blk.b_insns in
-       let opts = blk.b_opts in
-       let nexts = blk.b_nexts in
-       let b_start = blk.b_start in
-       let b_len = blk.b_len in
-       let slot = (b_start lsr 2) land rc.Decode_cache.mask in
-       let rem = fuel - !base in
-       let n = if rem < b_len then rem else b_len in
-       nexts_r := nexts;
-       i := 0;
-       while (not !stop) && !cont == dummy && !i < n do
-         (match Array.unsafe_get insns !i with
-         | Insn.Lui (rd, imm20) ->
-             set_reg_int m rd (imm20 lsl 12);
-             incr pending
-         | Insn.Op_imm (op, rd, rs1, imm) ->
-             set_reg_int m rd (alu_exec op (reg_int m rs1) (imm land mask32));
-             incr pending
-         | Insn.Op (op, rd, rs1, rs2) ->
-             set_reg_int m rd (alu_exec op (reg_int m rs1) (reg_int m rs2));
-             incr pending
-         | Insn.Mul_div (op, rd, rs1, rs2) ->
-             set_reg_int m rd (muldiv_exec op (reg_int m rs1) (reg_int m rs2));
-             incr pending
-         (* memory and capability-register instructions read neither
-            the PCC nor [minstret], so — unlike [exec_block_fast] —
-            they run {e inside} the deferred window; the trap handler
-            below [sync]s before [enter_trap], which is the only place
-            their exact PCC is observable *)
-         | Insn.Load { signed; width; rd; rs1; off } ->
-             ignore (do_load m ~ridx:rs1 ~rs1 ~off ~width ~signed ~rd);
-             incr pending
-         | Insn.Store { width; rs2; rs1; off } ->
-             ignore (do_store m ~ridx:rs1 ~rs1 ~off ~width ~rs2);
-             incr pending;
-             if Array.unsafe_get tags slot <> b_start then begin
-               m.block_aborts <- m.block_aborts + 1;
-               stop := true
-             end
-         | Insn.Clc (rd, rs1, off) ->
-             do_clc m ~rd ~rs1 ~off;
-             incr pending
-         | Insn.Csc (rs2, rs1, off) ->
-             do_csc m ~rs2 ~rs1 ~off;
-             incr pending;
-             if Array.unsafe_get tags slot <> b_start then begin
-               m.block_aborts <- m.block_aborts + 1;
-               stop := true
-             end
-         (* the edge instructions, inline: in chained execution every
-            block ends in one, so the generic arm's full re-dispatch
-            and unconditional event writes are a per-block tax.  The
-            semantics below are verbatim [exec]'s [Jal]/[Branch] arms
-            minus [finish] — the event is written only if the round
-            actually ends here (side exit, or stop at the chain
-            point). *)
-         | Insn.Jal (rd, off) ->
-             sync ();
-             do_jal m rd off;
-             m.minstret <- m.minstret + 1
-         | Insn.Branch (cond, rs1, rs2, off) ->
-             if branch_taken cond (reg_int m rs1) (reg_int m rs2) then begin
-               sync ();
-               let pc = Capability.address m.pcc in
-               let target = (pc + off) land mask32 in
-               if
-                 m.mode = Cheriot
-                 && not (Capability.in_bounds m.pcc ~size:4 target)
-               then raise (Trap (Cheri_fault (Cheri_bounds, 16)));
-               m.pcc <- { m.pcc with Capability.addr = target };
-               m.minstret <- m.minstret + 1;
-               br_taken := true;
-               if !i < b_len - 1 then begin
-                 (* taken interior branch of a superblock: side exit.
-                    Probe for a translated block at the live target — a
-                    hit continues the round there (the exit is then an
-                    ordinary transfer, not a round boundary); on a miss
-                    the round ends and the next one fills.  The miss is
-                    not counted here — the next round's probe counts
-                    it. *)
-                 bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-                 (if !base + !i + 1 < fuel then begin
-                    let pc = Capability.address m.pcc in
-                    let s = (pc lsr 2) land rc.Decode_cache.mask in
-                    if
-                      Array.unsafe_get tags s = pc
-                      && block_ticket_valid m
-                           (Array.unsafe_get rc.Decode_cache.payloads s)
-                    then begin
-                      rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-                      cont := Array.unsafe_get rc.Decode_cache.payloads s
-                    end
-                  end);
-                 if !cont == dummy then begin
-                   edge_event (Array.unsafe_get opts !i) true;
-                   stop := true
-                 end
-               end
-             end
-             else begin
-               (* not taken: fully deferred, like any plain insn (the
-                  prebuilt [b_nexts] advance is the fall-through) *)
-               br_taken := false;
-               incr pending
-             end
-         | ( Insn.Cincaddr _ | Insn.Cincaddrimm _ | Insn.Csetaddr _
-           | Insn.Csetbounds _ | Insn.Csetboundsexact _ | Insn.Csetboundsimm _
-           | Insn.Crrl _ | Insn.Cram _ | Insn.Candperm _ | Insn.Ccleartag _
-           | Insn.Cmove _ | Insn.Cseal _ | Insn.Cunseal _ | Insn.Cget _
-           | Insn.Csub _ | Insn.Ctestsubset _ | Insn.Csetequalexact _ ) as insn
-           ->
-             exec_cap m insn;
-             incr pending
-         | insn -> (
-             sync ();
-             match
-               exec m insn
-                 (Array.unsafe_get opts !i)
-                 (Array.unsafe_get nexts !i)
-             with
-             | Step_ok ->
-                 if m.last_event.ev_taken_branch && !i < b_len - 1 then begin
-                   bc.Decode_cache.side_exits <-
-                     bc.Decode_cache.side_exits + 1;
-                   stop := true
-                 end
-                 else if
-                   m.last_event.ev_is_store
-                   && Array.unsafe_get tags slot <> b_start
-                 then begin
-                   m.block_aborts <- m.block_aborts + 1;
-                   stop := true
-                 end
-             | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault)
-               as r ->
-                 result := r;
-                 stop := true));
-         incr i
-       done;
-       if !cont != dummy then begin
-         (* side-exit continue: transfer to the probed block *)
-         base := !base + !i;
-         b := !cont;
-         cont := dummy
-       end
-       else if not !stop then
-         if !i = b_len then begin
-           let edge =
-             match Array.unsafe_get insns (b_len - 1) with
-             | Insn.Jal _ -> 1
-             | Insn.Branch _ -> if !br_taken then 1 else 0
-             | Insn.Jalr _ -> 2
-             | ti -> if block_terminator ti then -1 else 0
-           in
-           if edge < 0 then
-             (* posture-changing terminator (Mret/Csr/…): its [exec]
-                arm left the event exact *)
-             stop := true
-           else begin
-             (* the fall edge may still be deferred: materialize PCC
-                (and retire counts) before the probe below or a stop *)
-             sync ();
-             if edge = 2 && m.mie && interrupt_pending m then
-               (* a sentry [Jalr] re-enabled interrupts with one
-                  pending: stop exactly where the per-step loop would
-                  deliver; the [exec] arm's event stands *)
-               stop := true
-             else if !base + !i < fuel then begin
-               let succ =
-                 if edge = 2 then chain_edge_ind m blk
-                 else chain_edge m blk edge
-               in
-               if succ == dummy then begin
-                 if edge <> 2 then end_event blk (edge = 1);
-                 stop := true
-               end
-               else begin
-                 base := !base + !i;
-                 b := succ
-               end
-             end
-             else begin
-               if edge <> 2 then end_event blk (edge = 1);
-               stop := true
-             end
-           end
-         end
-         else stop := true
-     done;
-     if !pending > 0 then begin
-       m.minstret <- m.minstret + !pending;
-       (match Array.unsafe_get (!b).b_nexts (!i - 1) with
-       | Some c -> m.pcc <- c
-       | None -> ());
-       pending := 0;
-       let ev = m.last_event in
-       (match Array.unsafe_get (!b).b_insns (!i - 1) with
-       | Insn.Load { width; _ } ->
-           ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- false
-       | Insn.Store { width; _ } ->
-           ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- true
-       | Insn.Clc _ ->
-           ev.ev_mem_bytes <- 8;
-           ev.ev_is_cap_mem <- true;
-           ev.ev_is_store <- false
-       | Insn.Csc _ ->
-           ev.ev_mem_bytes <- 8;
-           ev.ev_is_cap_mem <- true;
-           ev.ev_is_store <- true
-       | _ ->
-           ev.ev_mem_bytes <- 0;
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- false);
-       ev.ev_insn <- Array.unsafe_get (!b).b_opts (!i - 1);
-       ev.ev_taken_branch <- false;
-       ev.ev_trap <- None
-     end
-   with Trap cause ->
-     (* the raiser may have been inside the deferred window (loads,
-        stores, cap ops defer here): materialize first — [pending]
-        covers only instructions {e before} the raiser, so [sync]
-        leaves the PCC pointing exactly at it for [enter_trap] *)
-     sync ();
-     m.last_event <- { no_event with ev_trap = Some cause };
-     incr i;
-     result := enter_trap m cause);
-  (!result, !base + !i)
-
-(* The [Dispatch_jit] round executor: [exec_chain_fast] with every
-   block run under its compiled plan (compiled lazily on first entry).
-   Three specializations, none of which changes what is architecturally
-   observable:
-
-   - the memory arms run only the {e residual} checks of the per-
-     instruction [Ir.chk] plan — the elided checks are exactly those a
-     dominating check or a block-entry guard already proved would pass;
-   - the block-entry guards are evaluated once per block execution; if
-     any fails, this execution runs with full per-access checks (the
-     opt side exit: deoptimization in place — the faulting access, if
-     any, traps at its own instruction with its own cause);
-   - in-bounds direct branches and the final [Jal] use their folded
-     target (and link-sentry) capabilities — value-equal to what the
-     per-step path computes, with no per-traversal bounds decode or
-     sentry allocation. *)
-let exec_jit_fast m (b0 : bentry) ~fuel =
-  let bc = m.bcache in
-  let rc = bc.Decode_cache.rc in
-  let tags = rc.Decode_cache.tags in
-  let dummy = rc.Decode_cache.dummy in
-  let b = ref b0 in
-  let base = ref 0 in
-  let i = ref 0 in
-  let pending = ref 0 in
-  let result = ref Step_ok in
-  let stop = ref false in
-  let nexts_r = ref b0.b_nexts in
-  let sync () =
-    if !pending > 0 then begin
-      m.minstret <- m.minstret + !pending;
-      (match Array.unsafe_get !nexts_r (!i - 1) with
-      | Some c -> m.pcc <- c
-      | None -> ());
-      pending := 0
-    end
-  in
-  let br_taken = ref false in
-  let cont = ref dummy in
-  let edge_event opt taken =
-    let ev = m.last_event in
-    ev.ev_insn <- opt;
-    ev.ev_taken_branch <- taken;
-    ev.ev_mem_bytes <- 0;
-    ev.ev_is_cap_mem <- false;
-    ev.ev_is_store <- false;
-    ev.ev_trap <- None
-  in
-  let end_event blk taken =
-    let last = blk.b_len - 1 in
-    let ev = m.last_event in
-    (match Array.unsafe_get blk.b_insns last with
-    | Insn.Load { width; _ } ->
-        ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-        ev.ev_is_cap_mem <- false;
-        ev.ev_is_store <- false
-    | Insn.Store { width; _ } ->
-        ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-        ev.ev_is_cap_mem <- false;
-        ev.ev_is_store <- true
-    | Insn.Clc _ ->
-        ev.ev_mem_bytes <- 8;
-        ev.ev_is_cap_mem <- true;
-        ev.ev_is_store <- false
-    | Insn.Csc _ ->
-        ev.ev_mem_bytes <- 8;
-        ev.ev_is_cap_mem <- true;
-        ev.ev_is_store <- true
-    | _ ->
-        ev.ev_mem_bytes <- 0;
-        ev.ev_is_cap_mem <- false;
-        ev.ev_is_store <- false);
-    ev.ev_insn <- Array.unsafe_get blk.b_opts last;
-    ev.ev_taken_branch <- taken;
-    ev.ev_trap <- None
-  in
-  (try
-     while not !stop do
+          per-instruction loop is register-local *)
        let blk = !b in
        let insns = blk.b_insns in
        let opts = blk.b_opts in
@@ -2378,7 +1945,8 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
        let rem = fuel - !base in
        let n = if rem < b_len then rem else b_len in
        let t =
-         match blk.b_jit with Some t -> t | None -> compile_jit m blk
+         if not plan then full_plan
+         else match blk.b_jit with Some t -> t | None -> compile_jit m blk
        in
        (* Guards run against the entry register values, before any op:
           all pass → the reduced plan is licensed for this execution;
@@ -2470,8 +2038,15 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
                end;
                br_taken := true;
                if !i < b_len - 1 then begin
+                 (* taken interior branch of a superblock: side exit.
+                    With links on, probe for a translated block at the
+                    live target — a hit continues the round there (the
+                    exit is then an ordinary transfer, not a round
+                    boundary); on a miss the round ends and the next one
+                    fills.  The miss is not counted here — the next
+                    round's probe counts it. *)
                  bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-                 (if !base + !i + 1 < fuel then begin
+                 (if links && !base + !i + 1 < fuel then begin
                     let pc = Capability.address m.pcc in
                     let s = (pc lsr 2) land rc.Decode_cache.mask in
                     if
@@ -2484,12 +2059,14 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
                     end
                   end);
                  if !cont == dummy then begin
-                   edge_event (Array.unsafe_get opts !i) true;
+                   end_event blk !i true;
                    stop := true
                  end
                end
              end
              else begin
+               (* not taken: fully deferred, like any plain insn (the
+                  prebuilt [b_nexts] advance is the fall-through) *)
                br_taken := false;
                incr pending
              end
@@ -2499,6 +2076,9 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
            | Insn.Cmove _ | Insn.Cseal _ | Insn.Cunseal _ | Insn.Cget _
            | Insn.Csub _ | Insn.Ctestsubset _ | Insn.Csetequalexact _ ) as insn
            ->
+             (* register-pure capability arithmetic: may trap but never
+                reads the PC or CSRs — [Cspecialrw] is the one exception
+                and takes the generic arm below *)
              exec_cap m insn;
              incr pending
          | insn -> (
@@ -2528,6 +2108,7 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
          incr i
        done;
        if !cont != dummy then begin
+         (* side-exit continue: transfer to the probed block *)
          base := !base + !i;
          b := !cont;
          cont := dummy
@@ -2541,17 +2122,26 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
              | Insn.Jalr _ -> 2
              | ti -> if block_terminator ti then -1 else 0
            in
-           if edge < 0 then stop := true
+           if edge < 0 then
+             (* posture-changing terminator (Mret/Csr/…): its [exec]
+                arm left the event exact *)
+             stop := true
            else begin
+             (* the fall edge may still be deferred: materialize PCC
+                (and retire counts) before the probe below or a stop *)
              sync ();
-             if edge = 2 && m.mie && interrupt_pending m then stop := true
-             else if !base + !i < fuel then begin
+             if edge = 2 && m.mie && interrupt_pending m then
+               (* a sentry [Jalr] re-enabled interrupts with one
+                  pending: stop exactly where the per-step loop would
+                  deliver; the [exec] arm's event stands *)
+               stop := true
+             else if links && !base + !i < fuel then begin
                let succ =
                  if edge = 2 then chain_edge_ind m blk
                  else chain_edge m blk edge
                in
                if succ == dummy then begin
-                 if edge <> 2 then end_event blk (edge = 1);
+                 if edge <> 2 then end_event blk (b_len - 1) (edge = 1);
                  stop := true
                end
                else begin
@@ -2560,7 +2150,7 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
                end
              end
              else begin
-               if edge <> 2 then end_event blk (edge = 1);
+               if edge <> 2 then end_event blk (b_len - 1) (edge = 1);
                stop := true
              end
            end
@@ -2568,36 +2158,8 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
          else stop := true
      done;
      if !pending > 0 then begin
-       m.minstret <- m.minstret + !pending;
-       (match Array.unsafe_get (!b).b_nexts (!i - 1) with
-       | Some c -> m.pcc <- c
-       | None -> ());
-       pending := 0;
-       let ev = m.last_event in
-       (match Array.unsafe_get (!b).b_insns (!i - 1) with
-       | Insn.Load { width; _ } ->
-           ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- false
-       | Insn.Store { width; _ } ->
-           ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- true
-       | Insn.Clc _ ->
-           ev.ev_mem_bytes <- 8;
-           ev.ev_is_cap_mem <- true;
-           ev.ev_is_store <- false
-       | Insn.Csc _ ->
-           ev.ev_mem_bytes <- 8;
-           ev.ev_is_cap_mem <- true;
-           ev.ev_is_store <- true
-       | _ ->
-           ev.ev_mem_bytes <- 0;
-           ev.ev_is_cap_mem <- false;
-           ev.ev_is_store <- false);
-       ev.ev_insn <- Array.unsafe_get (!b).b_opts (!i - 1);
-       ev.ev_taken_branch <- false;
-       ev.ev_trap <- None
+       sync ();
+       end_event !b (!i - 1) false
      end
    with Trap cause ->
      sync ();
@@ -2606,22 +2168,24 @@ let exec_jit_fast m (b0 : bentry) ~fuel =
      result := enter_trap m cause);
   (!result, !base + !i)
 
-(* One round of the block dispatch path: interrupt/WFI handling exactly
-   as [step_gen], then up to [fuel] instructions starting from the
-   block at the PC.  With [chain:true] the round keeps going across
-   direct [Jal]/[Branch] edges via [chain_next] while fuel remains —
-   sound without re-running the boundary interrupt check, because
-   neither edge instruction can change the delivery predicate (the
-   instructions that can still terminate every translation unit and
-   end the chain; the one chained exception, a completed [Jalr],
-   re-checks the predicate at its edge).  The hand-inlined probe
-   mirrors [fetch_cached].  With [jit:true] the recording walk also
-   compiles each block it enters and evaluates its guards, so the
-   optimizer counters and the [mark_jit]/[mark_opt_side_exit] trace
-   marks reflect what the merged jit executor would do — execution
-   itself stays on the fully-checked generic path, which the plans are
-   observationally equal to by construction. *)
-let block_round m ~fuel ~record ~chain ~jit =
+(* One round of a block tier: interrupt/WFI handling exactly as
+   [step_gen], then up to [fuel] instructions starting from the block
+   at the PC.  The hand-inlined probe mirrors [fetch_cached].  The
+   dispatch tier sets the two settings of the round: [links] (chain and
+   jit) keeps the round going across linked edges while fuel remains,
+   [plan] (jit) runs each block under its compiled plan.
+
+   The fast path ([record:false]) is [exec_fast].  The recording path
+   walks block by block through [exec_block] so it can record and mark
+   every ring entry; with [links] it follows [chain_next], and with
+   [plan] it also compiles each block it enters and evaluates its
+   guards, so the optimizer counters and the [mark_jit] /
+   [mark_opt_side_exit] trace marks reflect what [exec_fast] would do —
+   execution itself stays on the fully-checked generic path, which the
+   plans are observationally equal to by construction. *)
+let block_round m ~fuel ~record dispatch =
+  let links = dispatch <> Dispatch_block in
+  let plan = dispatch = Dispatch_jit in
   if m.waiting && interrupt_pending m then m.waiting <- false;
   if m.waiting then (Step_waiting, 1)
   else if m.mie && interrupt_pending m then begin
@@ -2636,37 +2200,28 @@ let block_round m ~fuel ~record ~chain ~jit =
   else begin
     let dummy = m.bcache.Decode_cache.rc.Decode_cache.dummy in
     let rec go b fuel used =
-      (if jit then begin
+      (if plan then begin
          let t = match b.b_jit with Some t -> t | None -> compile_jit m b in
          if Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
          then begin
            m.opt_side_exits <- m.opt_side_exits + 1;
-           if record then m.pending_mark <- mark_opt_side_exit
+           m.pending_mark <- mark_opt_side_exit
          end
        end);
-      let r, n =
-        if record then exec_block m b ~fuel ~record
-        else exec_block_fast m b ~fuel
-      in
+      let r, n = exec_block m b ~fuel in
       let used = used + n in
       match r with
-      | Step_ok when chain && n = b.b_len && fuel > n ->
+      | Step_ok when links && n = b.b_len && fuel > n ->
           let succ = chain_next m b in
           if succ != dummy then begin
-            if record then
-              m.pending_mark <- (if jit then mark_jit else mark_chained);
+            m.pending_mark <- (if plan then mark_jit else mark_chained);
             go succ (fuel - n) used
           end
           else (r, used)
       | r -> (r, used)
     in
-    (* the recording path walks block-by-block (it must mark each ring
-       entry); the fast path runs the whole round in one merged
-       executor with the transfers inlined *)
     let exec_from b =
-      if chain && not record then
-        if jit then exec_jit_fast m b ~fuel else exec_chain_fast m b ~fuel
-      else go b fuel 0
+      if record then go b fuel 0 else exec_fast m b ~fuel ~links ~plan
     in
     let pc = Capability.address m.pcc in
     let rc = m.bcache.Decode_cache.rc in
@@ -2691,59 +2246,34 @@ let block_round m ~fuel ~record ~chain ~jit =
     end
   end
 
-(* [step_block]: the perf-harness / tracer entry point — one dispatch
-   round, with every retired instruction recorded in the ring
-   ([block_events]/[block_pcs], [block_ev_n] live entries). *)
-let step_block m =
+(* The perf-harness / tracer entry point: one round of [dispatch] with
+   every retired instruction recorded in the ring ([block_events] /
+   [block_pcs], [block_ev_n] live entries).  A reference or cached round
+   is one step; an idle WFI step retires nothing and records nothing. *)
+let step_round m dispatch =
   m.block_ev_n <- 0;
   m.pending_mark <- 0;
-  let r, _ =
-    block_round m ~fuel:max_block_len ~record:true ~chain:false ~jit:false
-  in
-  r
+  match dispatch with
+  | Dispatch_ref | Dispatch_cached ->
+      let pc = Capability.address m.pcc in
+      let idle = m.waiting && not (interrupt_pending m) in
+      let r = step_gen m ~cached:(dispatch = Dispatch_cached) in
+      if not idle then record_event m pc;
+      r
+  | Dispatch_block | Dispatch_chain | Dispatch_jit ->
+      fst (block_round m ~fuel:round_cap ~record:true dispatch)
 
-(* [step_chain]: like [step_block] but follows chained edges, so one
-   round can retire up to [round_cap] instructions across many blocks
-   (the ring holds them all). *)
-let step_chain m =
-  m.block_ev_n <- 0;
-  m.pending_mark <- 0;
-  let r, _ =
-    block_round m ~fuel:round_cap ~record:true ~chain:true ~jit:false
-  in
-  r
-
-(* [step_jit]: the recording entry point of the jit tier — a chained
-   round that also compiles each entered block, bumps the optimizer
-   counters, and marks [jit]/[opt-side-exit] transfers in the ring. *)
-let step_jit m =
-  m.block_ev_n <- 0;
-  m.pending_mark <- 0;
-  let r, _ =
-    block_round m ~fuel:round_cap ~record:true ~chain:true ~jit:true
-  in
-  r
-
-let run ?(fuel = 10_000_000) ?(fast = false) ?dispatch m =
-  let dispatch =
-    match dispatch with
-    | Some d -> d
-    | None -> if fast then Dispatch_cached else Dispatch_ref
-  in
+let run ?(fuel = 10_000_000) ?(dispatch = Dispatch_ref) m =
   match dispatch with
   | Dispatch_block | Dispatch_chain | Dispatch_jit ->
       (* Batched loop: fuel accounting is identical to the per-step
          loop below — each retired instruction, delivered interrupt, or
          trap consumes one unit, and a block (or chained round) is cut
          when the remaining fuel runs out inside it. *)
-      let chain = dispatch <> Dispatch_block in
-      let jit = dispatch = Dispatch_jit in
       let rec go n =
         if n >= fuel then (Step_ok, n)
         else
-          let r, used =
-            block_round m ~fuel:(fuel - n) ~record:false ~chain ~jit
-          in
+          let r, used = block_round m ~fuel:(fuel - n) ~record:false dispatch in
           let n = n + used in
           match r with
           | Step_ok | Step_trap _ -> go n

@@ -15,16 +15,18 @@
 type mode = Cheriot | Rv32
 
 (** Which fetch/decode machinery drives execution: the re-decoding
-    reference interpreter, the decoded-instruction cache, the
-    basic-block translation cache with its batched run loop, the
-    chained variant that additionally links blocks across direct
+    reference interpreter, the decoded-instruction cache, or one of
+    three settings of the block executor over the basic-block
+    translation cache.  [Dispatch_block] runs one translated block per
+    round; [Dispatch_chain] also links blocks across direct
     [Jal]/[Branch] edges (and fall-throughs and completed [Jalr]s) and
-    re-translates hot fall-through paths into superblocks, or the jit
-    tier that runs each block under a compiled plan from {!Ir} —
-    redundant capability checks eliminated, bounds checks hoisted into
-    block-entry guards, static control flow folded.  All five are
-    observationally identical per retired instruction (enforced by
-    [test/test_differential.ml] and the 5-way lockstep properties). *)
+    re-translates hot fall-through paths into superblocks;
+    [Dispatch_jit] also runs each block under a compiled plan from
+    {!Ir} — redundant capability checks eliminated, bounds checks
+    hoisted into block-entry guards, static control flow folded.  All
+    five are observationally identical per retired instruction
+    (enforced by [test/test_differential.ml] and the 5-way lockstep
+    properties). *)
 type dispatch =
   | Dispatch_ref
   | Dispatch_cached
@@ -123,8 +125,8 @@ type t = {
   mutable fm_base : int;
   mutable fm_limit : int;  (** 0 = window invalid *)
   block_events : event array;
-      (** retirement ring filled by {!step_block} / {!step_chain}: one
-          copied event per instruction of the last round *)
+      (** retirement ring filled by {!step_round}: one copied event per
+          instruction of the last round *)
   block_pcs : int array;  (** PCs parallel to [block_events] *)
   block_marks : int array;
       (** control-flow marks parallel to [block_events]: 0 = plain,
@@ -207,7 +209,7 @@ and bentry = {
   mutable b_taken : bentry option;
       (** chained successor of the taken [Jal]/[Branch] edge, valid
           while [b_taken_epoch] equals the cache's chain epoch
-          ([Dispatch_chain] only; [-1] = never linked) *)
+          (chain and jit tiers; [-1] = never linked) *)
   mutable b_taken_epoch : int;
   mutable b_cnt_taken : int;  (** taken-edge traversal count *)
   mutable b_fall : bentry option;  (** not-taken-edge successor *)
@@ -274,35 +276,25 @@ val step_fast : t -> result
     through the bus invalidate stale entries; code rewritten behind the
     bus's back (direct SRAM writes) requires {!flush_decode_cache}. *)
 
-val step_block : t -> result
-(** One round of the basic-block dispatch path: deliver a pending
-    interrupt / WFI wake exactly as {!step}, or execute the (cached or
-    freshly translated) basic block at the PC — up to {!max_block_len}
-    instructions.  Every retired instruction of the round is recorded
-    in the [block_events]/[block_pcs] ring ([block_ev_n] live entries)
-    so the perf harness can charge each one individually.  Interrupts
-    are only checked between rounds; block formation guarantees no
-    instruction inside a block can change the delivery predicate, so
-    this is exactly per-step equivalent. *)
-
-val step_chain : t -> result
-(** Like {!step_block}, but follows chained block-to-block links across
-    direct [Jal]/[Branch] edges without re-probing the cache or
-    re-checking tickets, and re-translates hot fall-through paths into
-    superblocks — so one round retires up to [round_cap] (128)
-    instructions across many blocks, all recorded in the ring.  Edge
-    instructions cannot change the interrupt-delivery predicate, so
-    checking only between rounds stays exactly per-step equivalent
-    (a completed [Jalr] may have changed the posture through a sentry,
-    so its edge re-checks the predicate before chaining). *)
-
-val step_jit : t -> result
-(** Like {!step_chain}, but for the jit tier: each block entered is
-    (lazily) compiled through {!Ir.optimize}, its block-entry guards
-    are evaluated (a failure counts an opt side exit), and chained
-    transfers carry the [mark_jit] / [mark_opt_side_exit] ring marks.
-    Execution itself follows the fully-checked generic path — the
-    recording walk is the observational twin of the merged jit
+val step_round : t -> dispatch -> result
+(** One recorded round of [dispatch], the entry point of the perf
+    harness and the tracer.  Every retired instruction of the round is
+    copied into the [block_events]/[block_pcs] ring ([block_ev_n] live
+    entries) so each one can be charged and rendered individually.  A
+    [Dispatch_ref] / [Dispatch_cached] round is one {!step} /
+    {!step_fast} (an idle WFI step records nothing).  A block-tier
+    round delivers a pending interrupt / WFI wake exactly as {!step},
+    or executes the (cached or freshly translated) block at the PC;
+    [Dispatch_chain] and [Dispatch_jit] keep going across chained
+    edges, up to [round_cap] instructions, marking each transfer
+    ([mark_chained], or [mark_jit] / [mark_opt_side_exit]), and
+    [Dispatch_jit] compiles each block it enters and evaluates its
+    guards.  Interrupts are only checked between rounds: block
+    formation guarantees no instruction inside a block can change the
+    delivery predicate, edge instructions cannot either, and a
+    completed [Jalr] re-checks it before chaining, so this is exactly
+    per-step equivalent.  Execution follows the fully-checked generic
+    path — the recording walk is the observational twin of the fast
     executor used by {!run}. *)
 
 val compile_jit : t -> bentry -> jit
@@ -319,7 +311,7 @@ val max_superblock_len : int
 (** Upper bound on instructions per superblock (64). *)
 
 val round_cap : int
-(** Fuel ceiling of one recorded chained round (128); bounds the
+(** Fuel ceiling of one recorded block-tier round (128); bounds the
     retirement ring. *)
 
 val mark_chained : int
@@ -338,18 +330,20 @@ val mark_opt_side_exit : int
 (** [block_marks] value on the first instruction of a jit block
     execution whose entry guard failed (deoptimized to full checks). *)
 
-val run : ?fuel:int -> ?fast:bool -> ?dispatch:dispatch -> t -> result * int
+val run : ?fuel:int -> ?dispatch:dispatch -> t -> result * int
 (** Step until halt/double-fault/waiting or [fuel] (default 10M)
     instructions; returns the final result and instructions retired.
     Traps are not stopping events (the handler runs).  [dispatch]
-    selects the execution machinery (default [Dispatch_ref]; the legacy
-    [~fast:true] is [Dispatch_cached]).  [Dispatch_block] runs the
-    batched block loop ([Dispatch_chain] additionally follows chained
-    edges within a round; [Dispatch_jit] also executes each block under
-    its compiled plan): fuel accounting is identical — each retired
-    instruction, delivered interrupt or trap costs one unit, and a
-    block (or chained round) is cut when the remaining fuel runs out
-    inside it, so chunked runs resume exactly where a per-step run
+    selects the execution machinery (default [Dispatch_ref]).  The
+    three block tiers share one fast round executor with two settings:
+    [Dispatch_jit] links blocks across chained edges and runs each
+    block under its compiled plan; [Dispatch_chain] links but runs
+    every access fully checked (no guards, no control-flow folds, no
+    compilation); [Dispatch_block] also ends each round at the end of
+    its block.  Fuel accounting is identical on every tier — each
+    retired instruction, delivered interrupt or trap costs one unit,
+    and a block (or chained round) is cut when the remaining fuel runs
+    out inside it, so chunked runs resume exactly where a per-step run
     would. *)
 
 val decode_stats : t -> Decode_cache.stats

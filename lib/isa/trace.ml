@@ -41,91 +41,55 @@ let pp_entry fmt e =
 
 (** Step [m] up to [fuel] instructions, calling [f] per retired
     instruction with a trace entry.  Returns the final result and step
-    count.  [dispatch] picks the execution machinery; the block and
-    chain paths emit one entry per instruction of each executed round
-    (from the machine's retirement ring), so the rendered trace is the
-    same stream the reference path produces — chained transfers and
-    superblock side exits carry a [tr_mark]. *)
+    count.  [dispatch] picks the execution machinery; every path emits
+    one entry per instruction of each recorded round (from the
+    machine's retirement ring), so the rendered trace is the same
+    stream on every path — chained transfers and superblock side exits
+    carry a [tr_mark]. *)
 let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
-  match dispatch with
-  | Machine.Dispatch_ref | Machine.Dispatch_cached ->
-      let step =
-        match dispatch with
-        | Machine.Dispatch_cached -> Machine.step_fast
-        | _ -> Machine.step
-      in
-      let rec go i =
-        if i >= fuel then (Machine.Step_ok, i)
-        else begin
-          let pc = Capability.address m.Machine.pcc in
-          let r = step m in
+  let rec go i =
+    if i >= fuel then (Machine.Step_ok, i)
+    else begin
+      let pc = Capability.address m.Machine.pcc in
+      let r = Machine.step_round m dispatch in
+      let n = m.Machine.block_ev_n in
+      let i =
+        if n = 0 then begin
+          (* a round that retired nothing (WFI idle) *)
           f
             {
               tr_index = i;
               tr_pc = pc;
-              tr_insn = m.Machine.last_event.Machine.ev_insn;
+              tr_insn = None;
               tr_result = r;
               tr_cycles = m.Machine.mcycle;
               tr_mark = 0;
             };
-          match r with
-          | Machine.Step_ok | Machine.Step_trap _ -> go (i + 1)
-          | Machine.Step_waiting | Machine.Step_halted
-          | Machine.Step_double_fault ->
-              (r, i + 1)
+          i + 1
         end
-      in
-      go 0
-  | Machine.Dispatch_block | Machine.Dispatch_chain | Machine.Dispatch_jit ->
-      let round =
-        match dispatch with
-        | Machine.Dispatch_chain -> Machine.step_chain
-        | Machine.Dispatch_jit -> Machine.step_jit
-        | _ -> Machine.step_block
-      in
-      let rec go i =
-        if i >= fuel then (Machine.Step_ok, i)
         else begin
-          let pc = Capability.address m.Machine.pcc in
-          let r = round m in
-          let n = m.Machine.block_ev_n in
-          let i =
-            if n = 0 then begin
-              (* a round that retired nothing (WFI idle) *)
-              f
-                {
-                  tr_index = i;
-                  tr_pc = pc;
-                  tr_insn = None;
-                  tr_result = r;
-                  tr_cycles = m.Machine.mcycle;
-                  tr_mark = 0;
-                };
-              i + 1
-            end
-            else begin
-              for k = 0 to n - 1 do
-                f
-                  {
-                    tr_index = i + k;
-                    tr_pc = m.Machine.block_pcs.(k);
-                    tr_insn = m.Machine.block_events.(k).Machine.ev_insn;
-                    (* intermediate instructions of a round all retired
-                       normally; only the round's last entry carries the
-                       round result *)
-                    tr_result = (if k = n - 1 then r else Machine.Step_ok);
-                    tr_cycles = m.Machine.mcycle;
-                    tr_mark = m.Machine.block_marks.(k);
-                  }
-              done;
-              i + n
-            end
-          in
-          match r with
-          | Machine.Step_ok | Machine.Step_trap _ -> go i
-          | Machine.Step_waiting | Machine.Step_halted
-          | Machine.Step_double_fault ->
-              (r, i)
+          for k = 0 to n - 1 do
+            f
+              {
+                tr_index = i + k;
+                tr_pc = m.Machine.block_pcs.(k);
+                tr_insn = m.Machine.block_events.(k).Machine.ev_insn;
+                (* intermediate instructions of a round all retired
+                   normally; only the round's last entry carries the
+                   round result *)
+                tr_result = (if k = n - 1 then r else Machine.Step_ok);
+                tr_cycles = m.Machine.mcycle;
+                tr_mark = m.Machine.block_marks.(k);
+              }
+          done;
+          i + n
         end
       in
-      go 0
+      match r with
+      | Machine.Step_ok | Machine.Step_trap _ -> go i
+      | Machine.Step_waiting | Machine.Step_halted | Machine.Step_double_fault
+        ->
+          (r, i)
+    end
+  in
+  go 0

@@ -399,7 +399,7 @@ let scenario_perf_agreement (sc : Scenario.t) =
         (r, p.Perf.stats.Perf.cycles, p.Perf.stats.Perf.instructions,
          Machine.state_hash m)
       in
-      let (r0, c0, i0, h0) = run Perf.Reference in
+      let (r0, c0, i0, h0) = run Machine.Dispatch_ref in
       List.iter
         (fun (name, d) ->
           let (r, c, i, h) = run d in
@@ -411,8 +411,8 @@ let scenario_perf_agreement (sc : Scenario.t) =
                  (Core_model.config ~cheri:true ~load_filter:true core))
               name c0 i0 c i
               (if h <> h0 then ", state hashes differ" else ""))
-        [ ("cached", Perf.Cached); ("block", Perf.Block);
-          ("chain", Perf.Chain); ("jit", Perf.Jit) ])
+        [ ("cached", Machine.Dispatch_cached); ("block", Machine.Dispatch_block);
+          ("chain", Machine.Dispatch_chain); ("jit", Machine.Dispatch_jit) ])
     [ Core_model.Ibex; Core_model.Flute ];
   true
 

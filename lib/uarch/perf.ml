@@ -1,20 +1,10 @@
 module Machine = Cheriot_isa.Machine
-module Decode_cache = Cheriot_isa.Decode_cache
-
-type dispatch = Reference | Cached | Block | Chain | Jit
 
 type stats = {
   cycles : int;
   instructions : int;
   mem_busy : int;
   traps : int;
-  decode_hits : int;
-  decode_misses : int;
-  decode_invalidations : int;
-  block_hits : int;
-  block_misses : int;
-  block_invalidations : int;
-  avg_block_len : float;
 }
 
 let cpi s =
@@ -23,40 +13,19 @@ let cpi s =
 
 let pp_stats fmt s =
   Format.fprintf fmt "%d cycles, %d insns (CPI %.2f), %d mem-busy, %d traps"
-    s.cycles s.instructions (cpi s) s.mem_busy s.traps;
-  if s.decode_hits + s.decode_misses > 0 then
-    Format.fprintf fmt ", decode$ %d/%d hits (%d inval)" s.decode_hits
-      (s.decode_hits + s.decode_misses) s.decode_invalidations;
-  if s.block_hits + s.block_misses > 0 then
-    Format.fprintf fmt ", block$ %d/%d hits (%d inval, avg len %.1f)"
-      s.block_hits
-      (s.block_hits + s.block_misses)
-      s.block_invalidations s.avg_block_len
+    s.cycles s.instructions (cpi s) s.mem_busy s.traps
 
 type t = {
   machine : Machine.t;
   params : Core_model.params;
   revoker : Revoker.t option;
-  dispatch : dispatch;
+  dispatch : Machine.dispatch;
   mutable stats : stats;
 }
 
-let zero_stats =
-  {
-    cycles = 0;
-    instructions = 0;
-    mem_busy = 0;
-    traps = 0;
-    decode_hits = 0;
-    decode_misses = 0;
-    decode_invalidations = 0;
-    block_hits = 0;
-    block_misses = 0;
-    block_invalidations = 0;
-    avg_block_len = 0.0;
-  }
+let zero_stats = { cycles = 0; instructions = 0; mem_busy = 0; traps = 0 }
 
-let create ?revoker ?(dispatch = Reference) ~params machine =
+let create ?revoker ?(dispatch = Machine.Dispatch_ref) ~params machine =
   { machine; params; revoker; dispatch; stats = zero_stats }
 
 let charge t ev =
@@ -73,8 +42,6 @@ let charge t ev =
          instruction's idle cycles in one batched call. *)
       Revoker.tick_n r (max 0 (cycles - busy))
   | None -> ());
-  let dc = Machine.decode_stats t.machine in
-  let bs = Machine.block_stats t.machine in
   t.stats <-
     {
       cycles = t.stats.cycles + cycles;
@@ -83,14 +50,6 @@ let charge t ev =
       mem_busy = t.stats.mem_busy + busy;
       traps =
         (t.stats.traps + match ev.Machine.ev_trap with Some _ -> 1 | None -> 0);
-      (* cumulative machine-side counters, not deltas *)
-      decode_hits = dc.Decode_cache.hits;
-      decode_misses = dc.Decode_cache.misses;
-      decode_invalidations = dc.Decode_cache.invalidations;
-      block_hits = bs.Machine.block_hits;
-      block_misses = bs.Machine.block_misses;
-      block_invalidations = bs.Machine.block_invalidations;
-      avg_block_len = Machine.avg_block_len bs;
     }
 
 (* WFI idle: one cycle passes, fully available to the revoker. *)
@@ -100,55 +59,37 @@ let idle_cycle t =
   t.stats <- { t.stats with cycles = t.stats.cycles + 1 }
 
 let step t =
+  let m = t.machine in
   match t.dispatch with
-  | Reference | Cached ->
+  | (Machine.Dispatch_block | Machine.Dispatch_chain | Machine.Dispatch_jit)
+    as d
+    when not (m.Machine.mie && m.Machine.mtimecmp <> 0) ->
+      let r = Machine.step_round m d in
+      (* A round ending in [Step_waiting] retired its instructions (if
+         any) and then hit WFI: charge the retirements, then one idle
+         cycle for the wait itself — exactly what the per-step path
+         below does. *)
+      let n = m.Machine.block_ev_n in
+      let to_charge = match r with Machine.Step_waiting -> n - 1 | _ -> n in
+      for i = 0 to to_charge - 1 do
+        charge t m.Machine.block_events.(i)
+      done;
+      (match r with Machine.Step_waiting -> idle_cycle t | _ -> ());
+      r
+  | d ->
+      (* One step, charged straight from [last_event] (no ring copy on
+         the default path).  The block tiers land here too while
+         interrupts are enabled with the timer armed: charging advances
+         [mcycle] per instruction, so a comparator crossing could
+         become deliverable {e between} two instructions of a block — a
+         boundary the block tiers do not check. *)
       let r =
-        match t.dispatch with
-        | Reference -> Machine.step t.machine
-        | _ -> Machine.step_fast t.machine
+        if d = Machine.Dispatch_ref then Machine.step m else Machine.step_fast m
       in
       (match r with
       | Machine.Step_waiting -> idle_cycle t
-      | Machine.Step_ok | Machine.Step_trap _ | Machine.Step_halted
-      | Machine.Step_double_fault ->
-          charge t t.machine.Machine.last_event);
+      | _ -> charge t m.Machine.last_event);
       r
-  | Block | Chain | Jit ->
-      let m = t.machine in
-      (* Exactness guard: charging advances [mcycle] per instruction,
-         so with interrupts enabled and the timer armed a comparator
-         crossing could become deliverable {e between} two
-         instructions of a block — a boundary the block path does not
-         check.  Fall back to exact per-step cached dispatch for those
-         (rare, interrupt-heavy) stretches. *)
-      if m.Machine.mie && m.Machine.mtimecmp <> 0 then begin
-        let r = Machine.step_fast m in
-        (match r with
-        | Machine.Step_waiting -> idle_cycle t
-        | _ -> charge t m.Machine.last_event);
-        r
-      end
-      else begin
-        let r =
-          match t.dispatch with
-          | Jit -> Machine.step_jit m
-          | Chain -> Machine.step_chain m
-          | _ -> Machine.step_block m
-        in
-        (* A round ending in [Step_waiting] retired its instructions
-           (if any) and then hit WFI: charge the retirements, then one
-           idle cycle for the wait itself — exactly what the per-step
-           loop does. *)
-        let n = m.Machine.block_ev_n in
-        let to_charge =
-          match r with Machine.Step_waiting -> n - 1 | _ -> n
-        in
-        for i = 0 to to_charge - 1 do
-          charge t m.Machine.block_events.(i)
-        done;
-        (match r with Machine.Step_waiting -> idle_cycle t | _ -> ());
-        r
-      end
 
 let run ?(fuel = 50_000_000) t =
   let wake_source () =

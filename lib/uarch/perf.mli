@@ -2,34 +2,11 @@
     advancing [mcycle], feeding idle memory cycles to the background
     revoker, and collecting statistics. *)
 
-(** Which fetch/decode path drives the machine.  [Reference] re-decodes
-    every instruction ([Machine.step]); [Cached] runs from the
-    decoded-instruction cache ([Machine.step_fast]); [Block] runs whole
-    translated basic blocks ([Machine.step_block]), charging each
-    retired instruction from the block's event ring; [Chain]
-    additionally follows chained block-to-block links and superblocks
-    ([Machine.step_chain]); [Jit] runs chained rounds with each block
-    compiled to an optimized check plan ([Machine.step_jit]).  The
-    block/chain/jit paths fall back to per-step cached dispatch
-    whenever interrupts are enabled with the timer armed, where a
-    mid-block [mcycle] comparator crossing could otherwise be
-    observable.  All five produce identical architectural traces and
-    cycle counts — simulator-speed optimizations, invisible to the
-    modelled hardware. *)
-type dispatch = Reference | Cached | Block | Chain | Jit
-
 type stats = {
   cycles : int;
   instructions : int;
   mem_busy : int;  (** cycles the data bus was busy with CPU traffic *)
   traps : int;
-  decode_hits : int;  (** decoded-instruction cache hits (cumulative) *)
-  decode_misses : int;
-  decode_invalidations : int;  (** entries killed by store snoops *)
-  block_hits : int;  (** block-cache hits (cumulative) *)
-  block_misses : int;
-  block_invalidations : int;  (** blocks killed by store snoops *)
-  avg_block_len : float;  (** mean fill-time block length *)
 }
 
 val cpi : stats -> float
@@ -39,18 +16,27 @@ type t = {
   machine : Cheriot_isa.Machine.t;
   params : Core_model.params;
   revoker : Revoker.t option;
-  dispatch : dispatch;
+  dispatch : Cheriot_isa.Machine.dispatch;
   mutable stats : stats;
 }
 
-val create : ?revoker:Revoker.t -> ?dispatch:dispatch ->
+val create : ?revoker:Revoker.t -> ?dispatch:Cheriot_isa.Machine.dispatch ->
   params:Core_model.params -> Cheriot_isa.Machine.t -> t
-(** [dispatch] defaults to [Reference]. *)
+(** [dispatch] picks the path that drives the machine (default
+    [Dispatch_ref]).  A block-tier round goes through
+    [Cheriot_isa.Machine.step_round], and every retired instruction is
+    charged from its retirement ring.  The block tiers fall back to
+    per-step cached dispatch whenever interrupts are enabled with the
+    timer armed, where a mid-block [mcycle] comparator crossing could
+    otherwise be observable.  All five produce identical architectural
+    traces and cycle counts — simulator-speed optimizations, invisible
+    to the modelled hardware. *)
 
 val step : t -> Cheriot_isa.Machine.result
-(** One instruction: steps the machine (via the configured dispatch
-    path), charges cycles, grants the revoker the idle memory slots of
-    those cycles. *)
+(** One round of the configured dispatch path (one instruction on the
+    reference and cached paths): charges the cycles of every retired
+    instruction and grants the revoker the idle memory slots of those
+    cycles. *)
 
 val run : ?fuel:int -> t -> Cheriot_isa.Machine.result
 (** Run until halt / double fault / WFI-with-no-interrupt-source, or

@@ -397,8 +397,8 @@ type result = {
 let score_scale = ref 1.0
 
 (** Build a machine with the CoreMark image loaded and registers set up,
-    ready to run to [Ebreak] — shared by {!run} and the decode-cache
-    bench, which drives [Machine.step]/[step_fast] directly. *)
+    ready to run to [Ebreak] — shared by {!run} and the dispatch bench,
+    which runs it under every [Machine.run] tier. *)
 let setup ?(iterations = 10) (config : Core_model.config) =
   let bus = Bus.create () in
   let sram = Sram.create ~base:code_base ~size:0x30000 in
@@ -437,7 +437,7 @@ let setup ?(iterations = 10) (config : Core_model.config) =
       Machine.set_reg_int m sp stack_top);
   m
 
-let run ?(iterations = 10) ?(dispatch = Perf.Reference)
+let run ?(iterations = 10) ?(dispatch = Machine.Dispatch_ref)
     (config : Core_model.config) =
   let m = setup ~iterations config in
   let perf =

@@ -467,7 +467,7 @@ let test_jit_hoisted_guard_patch_midtrace () =
   Alcotest.(check bool) "the patch invalidated the planned block" true
     (s.Machine.block_invalidations > 0)
 
-(* Counter accounting parity: the recording rounds ([step_jit], driving
+(* Counter accounting parity: the recording rounds ([step_round], driving
    the traced/perf paths) and the merged executor ([Machine.run]) must
    agree that the optimizer engaged — both compile the same plans. *)
 let test_jit_counters_on_both_paths () =
@@ -485,7 +485,7 @@ let test_jit_counters_on_both_paths () =
     (s.Machine.dead_bookkeeping_removed > 0);
   let m2 = mk () in
   let rec drive () =
-    match Machine.step_jit m2 with
+    match Machine.step_round m2 Machine.Dispatch_jit with
     | Machine.Step_ok | Machine.Step_trap _ -> drive ()
     | _ -> ()
   in
@@ -493,6 +493,43 @@ let test_jit_counters_on_both_paths () =
   let s2 = Machine.block_stats m2 in
   Alcotest.(check bool) "recording rounds compiled plans too" true
     (s2.Machine.jit_blocks_compiled > 0)
+
+(* The three block tiers are settings of one executor: chain links
+   blocks but never compiles a plan, block neither links nor forms
+   superblocks, jit compiles.  Each must still reach the reference
+   state. *)
+let test_tier_settings () =
+  let mk () =
+    let m, _ = boot (List.map Encode.encode chained_loop) in
+    Machine.set_reg_int m 6 4;
+    m.Machine.hot_threshold <- 2;
+    m.Machine.hot_adaptive <- false;
+    m
+  in
+  let ref_m = mk () in
+  let _ = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
+  let run dispatch =
+    let m = mk () in
+    (match Machine.run ~dispatch m with
+    | Machine.Step_halted, _ -> ()
+    | r, _ -> Alcotest.failf "did not halt: %s" (result_name r));
+    Alcotest.(check string) "reference state hash" (Machine.state_hash ref_m)
+      (Machine.state_hash m);
+    Alcotest.(check int) "reference minstret" ref_m.Machine.minstret
+      m.Machine.minstret;
+    Machine.block_stats m
+  in
+  let c = run Machine.Dispatch_chain in
+  Alcotest.(check int) "chain compiles no plan" 0 c.Machine.jit_blocks_compiled;
+  Alcotest.(check int) "chain has no opt side exit" 0 c.Machine.opt_side_exits;
+  Alcotest.(check bool) "chain links" true (c.Machine.chain_hits > 0);
+  let b = run Machine.Dispatch_block in
+  Alcotest.(check int) "block never links" 0 b.Machine.chain_hits;
+  Alcotest.(check int) "block forms no superblock" 0
+    b.Machine.superblocks_formed;
+  let j = run Machine.Dispatch_jit in
+  Alcotest.(check bool) "jit compiles plans" true
+    (j.Machine.jit_blocks_compiled > 0)
 
 (* [Trace.run ~dispatch:Dispatch_jit] renders the reference stream with
    chained transfers marked [jit]; a block whose entry guard fails is
@@ -578,6 +615,8 @@ let suite =
       test_jit_hoisted_guard_patch_midtrace;
     Alcotest.test_case "jit counters account on merged and recording paths"
       `Quick test_jit_counters_on_both_paths;
+    Alcotest.test_case "each block tier runs its own executor settings" `Quick
+      test_tier_settings;
     Alcotest.test_case "traced jit runs mark transfers and deoptimizations"
       `Quick test_trace_marks_jit;
   ]

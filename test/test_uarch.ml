@@ -286,13 +286,13 @@ let perf_run dispatch program setup =
     Perf.create ~dispatch ~params:(Core_model.params_of Core_model.Ibex) m
   in
   let r = Perf.run ~fuel:1_000_000 p in
-  (r, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m)
+  (r, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m, Machine.block_stats m)
 
 let test_perf_dispatch_parity () =
   let run d = perf_run d parity_program (fun _ -> ()) in
-  let r_ref, s_ref, cy_ref, h_ref = run Perf.Reference in
-  let r_cached, s_cached, cy_cached, h_cached = run Perf.Cached in
-  let r_blk, s_blk, cy_blk, h_blk = run Perf.Block in
+  let r_ref, s_ref, cy_ref, h_ref, bs_ref = run Machine.Dispatch_ref in
+  let r_cached, s_cached, cy_cached, h_cached, _ = run Machine.Dispatch_cached in
+  let r_blk, s_blk, cy_blk, h_blk, bs_blk = run Machine.Dispatch_block in
   Alcotest.(check bool) "all paths reach the WFI" true
     (r_ref = Machine.Step_waiting
     && r_cached = Machine.Step_waiting
@@ -309,11 +309,11 @@ let test_perf_dispatch_parity () =
     s_blk.Perf.mem_busy;
   Alcotest.(check string) "state hash (cached)" h_ref h_cached;
   Alcotest.(check string) "state hash (block)" h_ref h_blk;
-  (* the block stats really flowed through the harness *)
+  (* the harness really drove the block path *)
   Alcotest.(check bool) "block stats threaded" true
-    (s_blk.Perf.block_hits > 0 && s_blk.Perf.avg_block_len > 1.0);
+    (bs_blk.Machine.block_hits > 0 && Machine.avg_block_len bs_blk > 1.0);
   Alcotest.(check int) "no block activity on reference" 0
-    (s_ref.Perf.block_hits + s_ref.Perf.block_misses)
+    (bs_ref.Machine.block_hits + bs_ref.Machine.block_misses)
 
 (* With interrupts enabled and the timer armed, the block path must
    deliver the timer interrupt at exactly the same cycle as the
@@ -337,8 +337,8 @@ let test_perf_timer_parity () =
     m.Machine.mie <- true
   in
   let run d = perf_run d program setup in
-  let r_ref, s_ref, cy_ref, h_ref = run Perf.Reference in
-  let r_blk, s_blk, cy_blk, h_blk = run Perf.Block in
+  let r_ref, s_ref, cy_ref, h_ref, _ = run Machine.Dispatch_ref in
+  let r_blk, s_blk, cy_blk, h_blk, _ = run Machine.Dispatch_block in
   Alcotest.(check bool) "both halt in the ISR" true
     (r_ref = Machine.Step_halted && r_blk = Machine.Step_halted);
   Alcotest.(check int) "interrupt delivered at the same cycle" cy_ref cy_blk;
