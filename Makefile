@@ -2,24 +2,27 @@
 #
 # `make ci` is the gate: build, lint (warnings-as-errors), the full
 # test suite (including the differential oracle between the reference,
-# cached, block, chain and jit dispatch paths), the dispatch-parity
-# gate (the differential suite in isolation — it fails printing the
-# qcheck fuzz seed and shrunk program on any state-hash mismatch), the
-# static firmware audit (`cheriot_audit all`: shipped images audit
-# clean, the bad-image corpus is fully detected), the plan-soundness
-# gate (`cheriot_audit plans`: every jit check plan on the shipped
-# images proves equivalent to the all-full plan, every seeded optimizer
-# mutant is refuted), the incremental-audit gate (`cheriot_audit
-# incremental`: a one-compartment patch re-analyzes only that
-# compartment and the warm report is byte-identical to a cold audit),
-# and reduced-workload
-# runs of the benchmarks: `dispatch smoke` exits non-zero if any of the
-# five dispatch tiers diverges on any workload, or if no workload forms
-# a superblock (chain and jit tiers) or eliminates a check (jit tier).
-# The smoke benches write BENCH_*_smoke.json; they are divergence
-# gates, not performance claims — use `make bench` for real numbers.
+# cached, block, chain and jit dispatch paths: random streams, plus the
+# coremark, allocator and packet-processing programs, which must also
+# form superblocks and eliminate checks), the dispatch-parity gate (the
+# differential suite in isolation — it fails printing the qcheck fuzz
+# seed and shrunk program on any state-hash mismatch), the static
+# firmware audit (`cheriot_audit all`: shipped images audit clean, the
+# bad-image corpus is fully detected), the plan-soundness gate
+# (`cheriot_audit plans`: every jit check plan on the shipped images
+# proves equivalent to the all-full plan, every seeded optimizer mutant
+# is refuted), the incremental-audit gate (`cheriot_audit incremental`:
+# a one-compartment patch re-analyzes only that compartment and the
+# warm report is byte-identical to a cold audit), and the paper-results
+# gate (`paper-check`: a sample of every perfbench workload reproduces
+# its pinned outputs exactly, and `bench/main.exe`'s whole Table 4 and
+# IoT minute equal their pins).
+#
+# `bench/main.exe` only regenerates the paper's tables; all timing is
+# perfbench's (perfbench/README.md).  `make bench` runs its four
+# workloads.
 
-.PHONY: all build lint test parity prop-long audit verify-plans audit-incremental bench bench-smoke ci clean
+.PHONY: all build lint test parity prop-long audit verify-plans audit-incremental paper-check bench ci clean
 
 all: build
 
@@ -75,19 +78,25 @@ prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test differential
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test fuzz
 
+# Paper-results gate, from the outputs perfbench pins in
+# perfbench/pinned.txt: the self-check re-runs a sample of every
+# workload (large Table 4 sizes, a 2-second IoT run, CoreMark at 2
+# iterations, one guest stream of each kind, a sample of audit images)
+# against its pins, and the cross-check diffs bench/main.exe's 208
+# Table 4 cells and IoT-minute lines against theirs.  Either exits
+# non-zero on any difference.
+paper-check: build
+	bash perfbench/run.sh --self-check
+	bash perfbench/crosscheck.sh
+
+# The repository benchmark: each perfbench workload at seed 1 for
+# BENCHMARK.json's run length, untraced.
 bench: build
-	dune exec bench/main.exe -- dispatch
-	dune exec bench/main.exe -- audit
-	dune exec bench/main.exe -- audit_incremental
-	dune exec bench/main.exe -- planverify
+	for w in alloc_grid iot_minute guest_exec audit_fleet; do \
+	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
 
-bench-smoke: build
-	dune exec bench/main.exe -- dispatch smoke
-	dune exec bench/main.exe -- audit smoke
-	dune exec bench/main.exe -- audit_incremental smoke
-	dune exec bench/main.exe -- planverify smoke
-
-ci: build lint test parity audit verify-plans audit-incremental bench-smoke
+ci: build lint test parity audit verify-plans audit-incremental paper-check
 
 clean:
 	dune clean

@@ -1,11 +1,11 @@
-(* The benchmark harness: regenerates every table and figure in the
-   paper's evaluation (section 7) from the simulator, side by side with
-   the published numbers, plus the DESIGN.md ablations and a Bechamel
-   wall-clock microbenchmark of the simulator itself.
+(* Regenerates every table and figure in the paper's evaluation
+   (section 7) from the simulator, side by side with the published
+   numbers, plus the DESIGN.md ablations.  It times nothing: the
+   repository's timing harness is perfbench/ (see perfbench/README.md).
 
    Usage:
      bench/main.exe                 -- everything
-     bench/main.exe table1|table2|table3|table4|fig5|fig6|iot|ablations|micro
+     bench/main.exe table1|table2|table3|table4|fig5|fig6|iot|ablations
 *)
 
 module Core_model = Cheriot_uarch.Core_model
@@ -278,561 +278,6 @@ let ablations () =
         batch !batches !worst)
     [ 32; 128; 512; 4096 ]
 
-(* --- Bechamel microbenchmarks of the simulator itself ------------------- *)
-
-let micro () =
-  section "Bechamel -- wall-clock microbenchmarks of the simulator";
-  let open Bechamel in
-  let cap = Cheriot_core.Capability.root_mem_rw in
-  let word = Cheriot_core.Capability.to_word cap in
-  (* one Test.make per table: the dominant simulator primitive behind
-     each experiment *)
-  let t_decode =
-    Test.make ~name:"table1: cap of_word+to_word"
-      (Staged.stage (fun () ->
-           Cheriot_core.Capability.(to_word (of_word ~tag:true word))))
-  in
-  let t_gates =
-    Test.make ~name:"table2: area/power model"
-      (Staged.stage (fun () -> Gates.table2 ()))
-  in
-  let mk_machine () =
-    let bus = Cheriot_mem.Bus.create () in
-    let sram = Cheriot_mem.Sram.create ~base:0x10000 ~size:0x1000 in
-    Cheriot_mem.Bus.add_sram bus sram;
-    let img =
-      Cheriot_isa.Asm.assemble ~origin:0x10000
-        [
-          Cheriot_isa.Asm.Label "loop";
-          Cheriot_isa.Asm.I (Cheriot_isa.Insn.Op_imm (Add, 10, 10, 1));
-          Cheriot_isa.Asm.J (0, "loop");
-        ]
-    in
-    Cheriot_isa.Asm.load img sram;
-    let m = Cheriot_isa.Machine.create bus in
-    m.Cheriot_isa.Machine.pcc <-
-      Cheriot_core.Capability.(
-        set_bounds (with_address root_executable 0x10000) ~length:0x100
-          ~exact:false);
-    m
-  in
-  let m = mk_machine () in
-  let t_step =
-    Test.make ~name:"table3: machine step"
-      (Staged.stage (fun () -> ignore (Cheriot_isa.Machine.step m)))
-  in
-  let t_alloc =
-    let params = Core_model.params_of Core_model.Flute in
-    let clock = Cheriot_rtos.Clock.create params in
-    let sram = Cheriot_mem.Sram.create ~base:0x80000 ~size:0x40000 in
-    let rev =
-      Cheriot_mem.Revbits.create ~heap_base:0x80000 ~heap_size:0x40000 ()
-    in
-    let alloc =
-      Allocator.create ~temporal:Allocator.Baseline ~sram ~rev ~clock
-        ~heap_base:0x80000 ~heap_size:0x40000 ()
-    in
-    Test.make ~name:"table4: malloc+free pair"
-      (Staged.stage (fun () ->
-           match Allocator.malloc alloc 64 with
-           | Ok c -> ignore (Allocator.free alloc c)
-           | Error _ -> ()))
-  in
-  let t_sweep =
-    let sram = Cheriot_mem.Sram.create ~base:0x80000 ~size:0x10000 in
-    let rev =
-      Cheriot_mem.Revbits.create ~heap_base:0x80000 ~heap_size:0x10000 ()
-    in
-    let r = Cheriot_uarch.Revoker.create ~core:Core_model.Flute ~sram ~rev () in
-    Test.make ~name:"fig5/6: 64 KiB revoker sweep"
-      (Staged.stage (fun () ->
-           Cheriot_uarch.Revoker.kick r ~start:0x80000 ~stop:0x90000;
-           ignore (Cheriot_uarch.Revoker.run_to_completion r)))
-  in
-  let tests =
-    Test.make_grouped ~name:"cheriot-sim"
-      [ t_decode; t_gates; t_step; t_alloc; t_sweep ]
-  in
-  let raw =
-    Benchmark.all
-      (Benchmark.cfg ~limit:500 ~quota:(Time.second 0.2) ())
-      Toolkit.Instance.[ monotonic_clock ]
-      tests
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-40s %12.1f ns/op@." name est
-      | Some _ | None -> Format.printf "%-40s (no estimate)@." name)
-    (List.sort compare rows)
-
-(* --- dispatch-tier differential benchmark ------------------------------- *)
-
-module Machine = Cheriot_isa.Machine
-
-(* Runs each workload to completion under all five dispatch tiers on
-   fresh machines, so the cached and block tiers pay their cold-miss
-   cost every time, and asserts that every tier retires the same number
-   of instructions and reaches bit-identical architectural state.  The
-   tiers are timed interleaved (one run of each tier per repetition):
-   host speed drifts over seconds, and interleaving exposes every tier
-   to the same drift instead of charging it to whichever ran last.
-   Reports min and median wall seconds (monotonic clock) per tier, plus
-   each tier's own counters.  Also fails the run if no workload forms a
-   superblock under the chain and jit tiers or eliminates a check under
-   the jit tier — the trace heuristic or the optimizer never engaging
-   is a regression, not a neutral result.  Writes
-   BENCH_dispatch{,_smoke}.json. *)
-
-let tiers =
-  Machine.
-    [
-      ("reference", Dispatch_ref);
-      ("cached", Dispatch_cached);
-      ("block", Dispatch_block);
-      ("chain", Dispatch_chain);
-      ("jit", Dispatch_jit);
-    ]
-
-let runs = 5
-
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-(* Bounded: a divergence bug in a fast tier could leave the PC stuck,
-   and the CI gate must fail on that, not hang. *)
-let run_tier ~mk dispatch =
-  let m = mk () in
-  let t0 = now () in
-  (match Machine.run ~fuel:50_000_000 ~dispatch m with
-  | Machine.Step_halted, _ -> ()
-  | Machine.Step_waiting, _ -> failwith "dispatch: workload hit WFI"
-  | Machine.Step_double_fault, _ -> failwith "dispatch: double fault"
-  | (Machine.Step_ok | Machine.Step_trap _), _ ->
-      failwith "dispatch: workload ran out of fuel");
-  (now () -. t0, m)
-
-type tier_result = {
-  tr_name : string;
-  tr_dispatch : Machine.dispatch;
-  tr_insns : int;
-  tr_hash : string;
-  tr_min : float;
-  tr_median : float;
-  tr_machine : Machine.t;  (* the last run's machine, for its counters *)
-}
-
-let time_tiers ~mk =
-  let tiers = Array.of_list tiers in
-  let times = Array.map (fun _ -> Array.make runs 0.0) tiers in
-  let last = Array.map (fun _ -> None) tiers in
-  for k = 0 to runs - 1 do
-    Array.iteri
-      (fun i (_, d) ->
-        let dt, m = run_tier ~mk d in
-        times.(i).(k) <- dt;
-        last.(i) <- Some m)
-      tiers
-  done;
-  Array.to_list
-    (Array.mapi
-       (fun i (name, d) ->
-         let ts = times.(i) in
-         Array.sort compare ts;
-         let m = Option.get last.(i) in
-         {
-           tr_name = name;
-           tr_dispatch = d;
-           tr_insns = m.Machine.minstret;
-           tr_hash = Machine.state_hash m;
-           tr_min = ts.(0);
-           tr_median = ts.(runs / 2);
-           tr_machine = m;
-         })
-       tiers)
-
-(* The counters each tier owns, as JSON fields. *)
-let tier_counters t =
-  let m = t.tr_machine in
-  let d = Machine.decode_stats m and s = Machine.block_stats m in
-  let ints = List.map (fun (k, v) -> (k, string_of_int v)) in
-  match t.tr_dispatch with
-  | Machine.Dispatch_ref -> []
-  | Dispatch_cached ->
-      ints
-        [
-          ("decode_hits", d.Cheriot_isa.Decode_cache.hits);
-          ("decode_misses", d.misses);
-          ("decode_invalidations", d.invalidations);
-        ]
-  | Dispatch_block ->
-      ints
-        [
-          ("block_hits", s.Machine.block_hits);
-          ("block_misses", s.block_misses);
-          ("block_invalidations", s.block_invalidations);
-          ("block_aborts", s.block_aborts);
-          ("blocks_filled", s.blocks_filled);
-        ]
-      @ [ ("avg_block_len", Printf.sprintf "%.2f" (Machine.avg_block_len s)) ]
-  | Dispatch_chain ->
-      ints
-        [
-          ("chain_hits", s.chain_hits);
-          ("chain_unlinks", s.chain_unlinks);
-          ("superblocks_formed", s.superblocks_formed);
-          ("side_exits", s.side_exits);
-        ]
-  | Dispatch_jit ->
-      ints
-        [
-          ("superblocks_formed", s.superblocks_formed);
-          ("jit_blocks_compiled", s.jit_blocks_compiled);
-          ("checks_eliminated", s.checks_eliminated);
-          ("checks_hoisted", s.checks_hoisted);
-          ("checks_hoisted_nonentry", s.checks_hoisted_nonentry);
-          ("dead_bookkeeping_removed", s.dead_bookkeeping_removed);
-          ("opt_side_exits", s.opt_side_exits);
-          ("jit_plans_rejected", s.jit_plans_rejected);
-        ]
-
-let tier_json t =
-  Printf.sprintf
-    "%S: {\"instructions\": %d, \"min_seconds\": %.6f, \"median_seconds\": \
-     %.6f, \"insns_per_sec\": %.0f%s}"
-    t.tr_name t.tr_insns t.tr_min t.tr_median
-    (float_of_int t.tr_insns /. max 1e-9 t.tr_min)
-    (String.concat ""
-       (List.map (fun (k, v) -> Printf.sprintf ", %S: %s" k v) (tier_counters t)))
-
-let dispatch_bench ?(smoke = false) () =
-  section
-    (if smoke then "dispatch -- smoke (reduced workloads)"
-     else "dispatch -- every dispatch tier, interleaved");
-  let workloads =
-    [
-      ( "coremark",
-        fun () ->
-          Coremark.setup
-            ~iterations:(if smoke then 2 else 40)
-            (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-      );
-      ( "alloc_bench",
-        fun () -> Alloc_bench.isa_setup ~rounds:(if smoke then 5 else 400) ()
-      );
-      ( "iot_app",
-        fun () -> Iot_app.isa_setup ~packets:(if smoke then 10 else 1500) ()
-      );
-    ]
-  in
-  Format.printf "%-12s %12s" "workload" "insns";
-  List.iter (fun (n, _) -> Format.printf " %13s" (n ^ " Mi/s")) tiers;
-  Format.printf " %7s@." "match";
-  let diverged = ref false in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let ts = time_tiers ~mk in
-        let r = List.hd ts in
-        let ok =
-          List.for_all
-            (fun t -> t.tr_insns = r.tr_insns && t.tr_hash = r.tr_hash)
-            ts
-        in
-        if not ok then begin
-          diverged := true;
-          Format.eprintf "DIVERGENCE on %s:%s@." name
-            (String.concat ""
-               (List.map
-                  (fun t -> Printf.sprintf " %s %d/%s" t.tr_name t.tr_insns t.tr_hash)
-                  ts))
-        end;
-        Format.printf "%-12s %12d" name r.tr_insns;
-        List.iter
-          (fun t ->
-            Format.printf " %13.2f"
-              (float_of_int t.tr_insns /. max 1e-9 t.tr_min /. 1e6))
-          ts;
-        Format.printf " %7s@." (if ok then "yes" else "NO");
-        (name, ts, ok))
-      workloads
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"bench\": \"dispatch\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"smoke\": %b,\n  \"clock\": \"monotonic\",\n  \"runs\": %d,\n\
-       \  \"workloads\": [\n"
-       smoke runs);
-  List.iteri
-    (fun i (name, ts, ok) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": %S, \"state_match\": %b,\n     \"tiers\": {\n%s}}%s\n"
-           name ok
-           (String.concat ",\n"
-              (List.map (fun t -> "       " ^ tier_json t) ts))
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  (* The smoke run is a CI divergence gate, not a performance claim: keep
-     it from clobbering the full-size numbers. *)
-  let file =
-    if smoke then "BENCH_dispatch_smoke.json" else "BENCH_dispatch.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if !diverged then begin
-    prerr_endline "dispatch: dispatch tiers diverged";
-    exit 1
-  end;
-  let some tier f =
-    List.exists
-      (fun (_, ts, _) ->
-        List.exists
-          (fun t -> t.tr_name = tier && f (Machine.block_stats t.tr_machine) > 0)
-          ts)
-      rows
-  in
-  List.iter
-    (fun tier ->
-      if not (some tier (fun s -> s.Machine.superblocks_formed)) then begin
-        Printf.eprintf "dispatch: no workload formed any superblock (%s)\n" tier;
-        exit 1
-      end)
-    [ "chain"; "jit" ];
-  if not (some "jit" (fun s -> s.Machine.checks_eliminated)) then begin
-    prerr_endline "dispatch: optimizer eliminated no checks on any workload";
-    exit 1
-  end
-
-(* --- static auditor timing ------------------------------------------------ *)
-
-(* Times a full Audit.run (CFG recovery + interprocedural fixpoint +
-   linkage checks) over each shipped image, so auditor slowdowns show up
-   in the perf trajectory alongside the simulator benches.  Doubles as a
-   gate: shipped images must stay clean. *)
-let audit_bench ?(smoke = false) () =
-  section
-    (if smoke then "audit -- smoke (static auditor fixpoint timing)"
-     else "audit -- static auditor fixpoint timing");
-  let runs = if smoke then 2 else 5 in
-  Format.printf "%-12s %12s %10s@." "image" "seconds" "findings";
-  let rows =
-    List.map
-      (fun (name, build) ->
-        let t = build () in
-        let findings = Cheriot_analysis.Audit.run t in
-        let best = ref infinity in
-        for _ = 1 to runs do
-          let t0 = Sys.time () in
-          ignore (Cheriot_analysis.Audit.run t);
-          let dt = Sys.time () -. t0 in
-          if dt < !best then best := dt
-        done;
-        Format.printf "%-12s %12.6f %10d@." name !best (List.length findings);
-        (name, !best, List.length findings))
-      Cheriot_workloads.Firmware.shipped
-  in
-  let total = List.fold_left (fun a (_, s, _) -> a +. s) 0. rows in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"bench\": \"audit\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"images\": [\n" smoke);
-  List.iteri
-    (fun i (name, secs, nf) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"seconds\": %.6f, \"findings\": %d}%s\n" name
-           secs nf
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf "  ],\n  \"total_seconds\": %.6f\n}\n" total);
-  let file = if smoke then "BENCH_audit_smoke.json" else "BENCH_audit.json" in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if List.exists (fun (_, _, nf) -> nf > 0) rows then begin
-    prerr_endline "audit: findings on shipped images";
-    exit 1
-  end
-
-(* --- incremental (summary-cache) audit timing ----------------------------- *)
-
-(* Times a cold audit sweep over a fleet of near-identical images (the
-   coremark compartment plus a per-variant sensor compartment,
-   Firmware.fleet) against the same sweep through a shared summary
-   cache: the expensive coremark fixpoint is re-analyzed once, every
-   further image re-analyzes only its one-instruction-different sensor.
-   Doubles as a gate: every warm report must be byte-identical to its
-   cold counterpart, the cache must actually hit, and (full mode) the
-   cached sweep must be at least 2x faster.  Writes
-   BENCH_audit_incremental*.json. *)
-let audit_incremental_bench ?(smoke = false) () =
-  section
-    (if smoke then "audit_incremental -- smoke (summary-cache sweep timing)"
-     else "audit_incremental -- summary-cache audit sweep timing");
-  let grid = if smoke then 3 else 8 in
-  let runs = if smoke then 2 else 5 in
-  let module Audit = Cheriot_analysis.Audit in
-  let module Summary = Cheriot_analysis.Summary in
-  let module Rules = Cheriot_analysis.Rules in
-  let images =
-    List.init grid (fun i ->
-        ( Printf.sprintf "fleet-%d" i,
-          Cheriot_workloads.Firmware.fleet ~variant:i () ))
-  in
-  (* correctness before timing: warm ≡ cold, byte for byte, per variant *)
-  let cache = Summary.create_cache () in
-  let hits = ref 0 and misses = ref 0 in
-  let identical =
-    List.for_all
-      (fun (name, t) ->
-        let warm, st = Audit.run_stats ~cache t in
-        let cold = Audit.run t in
-        hits := !hits + st.Audit.cache_hits;
-        misses := !misses + st.Audit.cache_misses;
-        String.equal
-          (Rules.report_to_json [ (name, Rules.sort_findings warm) ])
-          (Rules.report_to_json [ (name, Rules.sort_findings cold) ]))
-      images
-  in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to runs do
-      let t0 = Sys.time () in
-      f ();
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let cold_s =
-    time (fun () -> List.iter (fun (_, t) -> ignore (Audit.run t)) images)
-  in
-  let warm_s =
-    time (fun () ->
-        let cache = Summary.create_cache () in
-        List.iter (fun (_, t) -> ignore (Audit.run_stats ~cache t)) images)
-  in
-  let speedup = if warm_s > 0. then cold_s /. warm_s else infinity in
-  Format.printf "%-6s %12s %12s %8s %6s %8s@." "grid" "cold_s" "warm_s"
-    "speedup" "hits" "identical";
-  Format.printf "%-6d %12.6f %12.6f %8.2f %6d %8b@." grid cold_s warm_s speedup
-    !hits identical;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"bench\": \"audit_incremental\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"smoke\": %b,\n  \"grid\": %d,\n  \"cold_seconds\": %.6f,\n\
-       \  \"warm_seconds\": %.6f,\n  \"speedup\": %.2f,\n\
-       \  \"cache_hits\": %d,\n  \"cache_misses\": %d,\n\
-       \  \"identical\": %b\n}\n"
-       smoke grid cold_s warm_s speedup !hits !misses identical);
-  let file =
-    if smoke then "BENCH_audit_incremental_smoke.json"
-    else "BENCH_audit_incremental.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if not identical then begin
-    prerr_endline "audit_incremental: warm report diverged from cold";
-    exit 1
-  end;
-  if !hits = 0 then begin
-    prerr_endline "audit_incremental: summary cache never hit";
-    exit 1
-  end;
-  if (not smoke) && speedup < 2.0 then begin
-    prerr_endline "audit_incremental: cached sweep under 2x over cold";
-    exit 1
-  end
-
-(* --- plan-soundness verifier timing --------------------------------------- *)
-
-(* Times [Planverify.verify_plan] over every plan the jit tier compiles
-   from the shipped images (forced hot so every reachable block
-   compiles), so verifier slowdowns show up in the perf trajectory.
-   Doubles as a gate: an image compiling zero plans, or any plan proving
-   Unsound, fails the run.  Writes BENCH_planverify*.json. *)
-let planverify_bench ?(smoke = false) () =
-  section
-    (if smoke then "planverify -- smoke (plan-soundness verifier timing)"
-     else "planverify -- plan-soundness verifier timing");
-  let runs = if smoke then 2 else 5 in
-  Format.printf "%-12s %8s %12s %10s@." "image" "plans" "seconds" "unsound";
-  let rows =
-    List.map
-      (fun (name, build) ->
-        let t = build () in
-        let m = t.Cheriot_rtos.Loader.machine in
-        m.Machine.hot_threshold <- 2;
-        m.Machine.hot_adaptive <- false;
-        let plans = Cheriot_analysis.Planverify.collect m in
-        let unsound =
-          List.length
-            (List.filter
-               (fun p ->
-                 Cheriot_analysis.Planverify.verify_plan p
-                 <> Cheriot_analysis.Planverify.Sound)
-               plans)
-        in
-        let best = ref infinity in
-        for _ = 1 to runs do
-          let t0 = Sys.time () in
-          List.iter
-            (fun p -> ignore (Cheriot_analysis.Planverify.verify_plan p))
-            plans;
-          let dt = Sys.time () -. t0 in
-          if dt < !best then best := dt
-        done;
-        Format.printf "%-12s %8d %12.6f %10d@." name (List.length plans) !best
-          unsound;
-        (name, List.length plans, !best, unsound))
-      Cheriot_workloads.Firmware.shipped
-  in
-  let total = List.fold_left (fun a (_, _, s, _) -> a +. s) 0. rows in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"bench\": \"planverify\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"images\": [\n" smoke);
-  List.iteri
-    (fun i (name, n, secs, unsound) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"plans\": %d, \"seconds\": %.6f, \"unsound\": \
-            %d}%s\n"
-           name n secs unsound
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf "  ],\n  \"total_seconds\": %.6f\n}\n" total);
-  let file =
-    if smoke then "BENCH_planverify_smoke.json" else "BENCH_planverify.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if List.exists (fun (_, n, _, _) -> n = 0) rows then begin
-    prerr_endline "planverify: an image compiled no plans";
-    exit 1
-  end;
-  if List.exists (fun (_, _, _, u) -> u > 0) rows then begin
-    prerr_endline "planverify: unsound plans on shipped images";
-    exit 1
-  end
-
 (* --- driver -------------------------------------------------------------- *)
 
 let all () =
@@ -843,12 +288,7 @@ let all () =
   fig56 Core_model.Flute "5" flute;
   fig56 Core_model.Ibex "6" ibex;
   iot ();
-  ablations ();
-  dispatch_bench ();
-  audit_bench ();
-  audit_incremental_bench ();
-  planverify_bench ();
-  micro ()
+  ablations ()
 
 let () =
   match Sys.argv with
@@ -861,20 +301,7 @@ let () =
   | [| _; "fig6" |] -> fig56 Core_model.Ibex "6" (run_alloc_table Core_model.Ibex)
   | [| _; "iot" |] -> iot ()
   | [| _; "ablations" |] -> ablations ()
-  | [| _; "dispatch" |] -> dispatch_bench ()
-  | [| _; "dispatch"; "smoke" |] -> dispatch_bench ~smoke:true ()
-  | [| _; "audit" |] -> audit_bench ()
-  | [| _; "audit"; "smoke" |] -> audit_bench ~smoke:true ()
-  | [| _; "audit_incremental" |] -> audit_incremental_bench ()
-  | [| _; "audit_incremental"; "smoke" |] ->
-      audit_incremental_bench ~smoke:true ()
-  | [| _; "planverify" |] -> planverify_bench ()
-  | [| _; "planverify"; "smoke" |] -> planverify_bench ~smoke:true ()
-  | [| _; "micro" |] -> micro ()
   | _ ->
       prerr_endline
-        "usage: main.exe \
-         [table1|table2|table3|table4|fig5|fig6|iot|ablations|dispatch \
-         [smoke]|audit [smoke]|audit_incremental [smoke]|planverify \
-         [smoke]|micro]";
+        "usage: main.exe [table1|table2|table3|table4|fig5|fig6|iot|ablations]";
       exit 2

@@ -311,7 +311,9 @@ let hw_wait t h =
      poll wakes the blocked thread for a flurry of memory accesses that
      preempt the engine's bus slots (7.2.2).  In both cases the blocked
      thread is periodically context-switched out and back in to recheck
-     the epoch, which costs more when the HWM CSRs must be saved too. *)
+     the epoch, which costs more when the HWM CSRs must be saved too.
+     A sweep still running after 100M cycles can only mean the engine
+     never gets a cycle, so that is an error, not a finished sweep. *)
   let guard = ref 0 in
   let iter = ref 0 in
   while Revoker.sweeping h && !guard < 100_000_000 do
@@ -333,7 +335,14 @@ let hw_wait t h =
       Clock.advance t.clock t.wait_ctx_pair ~mem_busy:(t.wait_ctx_pair / 2);
       guard := !guard + t.wait_ctx_pair
     end
-  done
+  done;
+  if Revoker.sweeping h then
+    failwith
+      (Printf.sprintf
+         "Allocator.hw_wait: revocation sweep did not finish within %d \
+          cycles; the hardware revoker is starved or not attached to the \
+          clock (Clock.attach_revoker)"
+         !guard)
 
 let revoke_now t =
   if not t.in_revoke then begin

@@ -70,7 +70,9 @@ val free : t -> Cheriot_core.Capability.t -> (unit, error) result
 
 val revoke_now : t -> unit
 (** Force a revocation pass (software or hardware per configuration) and
-    release eligible quarantine — what the RTOS idle task may do (3.3.2). *)
+    release eligible quarantine — what the RTOS idle task may do (3.3.2).
+    Raises [Failure] if a hardware sweep has not finished after 100M
+    cycles: the revoker is starved or was never attached to the clock. *)
 
 val epoch : t -> int
 val stats : t -> stats

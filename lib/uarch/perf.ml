@@ -108,13 +108,3 @@ let run ?(fuel = 50_000_000) t =
           r
   in
   go 0 Machine.Step_ok
-
-let idle_until t cond =
-  let spent = ref 0 in
-  while (not (cond ())) && !spent < 100_000_000 do
-    incr spent;
-    t.machine.Machine.mcycle <- t.machine.Machine.mcycle + 1;
-    match t.revoker with Some r -> Revoker.tick r | None -> ()
-  done;
-  t.stats <- { t.stats with cycles = t.stats.cycles + !spent };
-  !spent

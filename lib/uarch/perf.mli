@@ -41,8 +41,3 @@ val step : t -> Cheriot_isa.Machine.result
 val run : ?fuel:int -> t -> Cheriot_isa.Machine.result
 (** Run until halt / double fault / WFI-with-no-interrupt-source, or
     [fuel] instructions (default 50M). *)
-
-val idle_until : t -> (unit -> bool) -> int
-(** Model an idle CPU (e.g. blocked on revocation): burn cycles — all of
-    them available to the revoker — until the condition holds; returns
-    the cycles spent.  Gives up after 100M cycles. *)

@@ -126,15 +126,16 @@ let coremark ?(iterations = 1) () =
   in
   Loader.link [ bench ] ~boot:("bench", "bench")
 
-(* --- the audit-incremental bench grid ------------------------------------- *)
+(* --- the incremental-audit fleet ------------------------------------------ *)
 
 (** [fleet ~variant ()] is the coremark compartment plus a tiny "sensor"
     compartment calling into it.  [bench] is linked first, so its code
     and globals layout — and therefore its audit summary hash — is
     identical across variants; only the sensor's code (which embeds
     [variant]) differs.  A summary cache shared across the fleet thus
-    re-analyzes the expensive coremark fixpoint exactly once, which is
-    what [bench audit_incremental] measures. *)
+    re-analyzes the expensive coremark fixpoint exactly once: the fleet
+    cache case in [test/test_incremental.ml] asserts it, and perfbench's
+    [audit_fleet] workload times it. *)
 let fleet ?(iterations = 1) ~variant () =
   let bench =
     Compartment.v ~name:"bench" ~globals_size:0x1000 ~exports:[ export "bench" ]

@@ -1,6 +1,6 @@
 (* Tests for the incremental (summary-cache) audit mode (DESIGN.md §15).
 
-   Three layers:
+   Four layers:
    - warm-cache identity: re-auditing every shipped and corpus image
      through a primed cache reuses every compartment summary and
      reproduces the cold report byte for byte;
@@ -8,6 +8,8 @@
      warm re-audit after a single-compartment code patch re-analyzes
      exactly the patched compartment and still matches a from-scratch
      audit byte for byte;
+   - a [Firmware.fleet] sweep through one shared cache analyzes the
+     common coremark compartment once and matches cold audits;
    - the [Driver.incremental] exit-code contract. *)
 
 module Audit = Cheriot_analysis.Audit
@@ -90,6 +92,27 @@ let t_incremental =
     (QCheck.pair (Scenario.arb ()) QCheck.small_nat)
     prop_incremental_equals_scratch
 
+(* A fleet of near-identical images audited through one shared cache:
+   the coremark [bench] compartment is analyzed once, by variant 0, and
+   every later variant re-analyzes only its own sensor compartment.  Each
+   warm report must still equal a cold audit of the same variant. *)
+let test_fleet_shared_cache () =
+  let cache = Summary.create_cache () in
+  List.iter
+    (fun variant ->
+      let name = Printf.sprintf "fleet-%d" variant in
+      let warm, st = Audit.run_stats ~cache (Firmware.fleet ~variant ()) in
+      let cold = Audit.run (Firmware.fleet ~variant ()) in
+      Alcotest.(check string)
+        (name ^ ": warm report byte-identical to cold")
+        (report name cold) (report name warm);
+      let hits, misses = if variant = 0 then (0, 2) else (1, 1) in
+      Alcotest.(check int) (name ^ ": compartments") 2 st.Audit.compartments;
+      Alcotest.(check int) (name ^ ": cache hits") hits st.Audit.cache_hits;
+      Alcotest.(check int) (name ^ ": cache misses") misses
+        st.Audit.cache_misses)
+    [ 0; 1; 2 ]
+
 let test_driver_contract () =
   Alcotest.(check int) "incremental: unknown image is exit 2" 2
     (Driver.incremental ~images:Firmware.shipped ~name:"nosuch" ());
@@ -102,6 +125,8 @@ let suite =
     Alcotest.test_case "warm-cache re-audit byte-identical on every image"
       `Quick test_warm_identity;
     QCheck_alcotest.to_alcotest t_incremental;
+    Alcotest.test_case "fleet variants share the coremark summary" `Quick
+      test_fleet_shared_cache;
     Alcotest.test_case "Driver.incremental exit codes" `Quick
       test_driver_contract;
   ]

@@ -207,6 +207,32 @@ let test_hardware_path () =
   Alcotest.(check bool) "alloc after hw sweep" true c2.Capability.tag;
   check_inv s
 
+(* A hardware revoker the allocator knows about but the clock never
+   ticks cannot finish a sweep: the wait must fail loudly at its bound
+   rather than release quarantine as if the sweep had completed. *)
+let test_hw_wait_bound () =
+  let clock = Clock.create (Core_model.params_of Core_model.Flute) in
+  let sram = Sram.create ~base:heap_base ~size:heap_size in
+  let rev = Revbits.create ~heap_base ~heap_size () in
+  let alloc =
+    Allocator.create ~temporal:Allocator.Hardware ~sram ~rev ~clock ~heap_base
+      ~heap_size ()
+  in
+  Allocator.attach_hw_revoker alloc
+    (Revoker.create ~core:Core_model.Flute ~sram ~rev ());
+  let c = ok (Allocator.malloc alloc 128) in
+  ok (Allocator.free alloc c);
+  match Allocator.revoke_now alloc with
+  | () -> Alcotest.fail "revoke_now returned without a finished sweep"
+  | exception Failure msg ->
+      Alcotest.(check bool) "diagnosis names the unfinished sweep" true
+        (String.starts_with
+           ~prefix:"Allocator.hw_wait: revocation sweep did not finish" msg);
+      Alcotest.(check int) "epoch never completed" 1
+        (Allocator.epoch alloc);
+      Alcotest.(check bool) "the guard ran out its cycles" true
+        (Clock.cycles clock >= 100_000_000)
+
 let test_baseline_vulnerable_by_design () =
   (* The baseline config reproduces the classic UAF: memory is reused
      while stale pointers still work (the threat the paper eliminates). *)
@@ -357,6 +383,8 @@ let suite =
     Alcotest.test_case "exhaustion forces a pass" `Quick
       test_oom_triggers_revocation;
     Alcotest.test_case "hardware revoker path" `Quick test_hardware_path;
+    Alcotest.test_case "hw_wait fails loudly on a sweep that never ends"
+      `Quick test_hw_wait_bound;
     Alcotest.test_case "baseline reproduces classic UAF" `Quick
       test_baseline_vulnerable_by_design;
     Alcotest.test_case "switcher zeroes delegated stack" `Quick
