@@ -62,11 +62,15 @@ audit-incremental: build
 # jit) must be observationally identical on random streams, on generated
 # multi-compartment scenarios (switcher cross-calls, allocator churn,
 # revocation sweeps, code patches), under interrupt injection, and on
-# coremark.  Alcotest prints the failing qcheck seed and the shrunk
-# program listing on a mismatch.
+# coremark.  The block-cache and uarch suites hold the recorded rounds
+# the tracer and the perf harness run: trace marks, and cycle parity
+# under the perf harness on all five tiers.  Alcotest prints the
+# failing qcheck seed and the shrunk program listing on a mismatch.
 parity: build
 	dune exec test/test_cheriot.exe -- test differential
 	dune exec test/test_cheriot.exe -- test proptest
+	dune exec test/test_cheriot.exe -- test block-cache
+	dune exec test/test_cheriot.exe -- test uarch
 	dune exec bin/cheriot_audit.exe -- plans
 
 # The same property family with 20x the iteration counts (PROP_ITERS

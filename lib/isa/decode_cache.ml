@@ -3,10 +3,6 @@ type stats = {
   misses : int;
   invalidations : int;
   flushes : int;
-  chain_hits : int;
-  chain_unlinks : int;
-  superblocks_formed : int;
-  side_exits : int;
 }
 
 type 'a t = {
@@ -35,34 +31,16 @@ let create ?(size_log2 = 11) ~dummy () =
     flushes = 0;
   }
 
-let entries t = Array.length t.tags
-
 (* Instructions are word-aligned, so the low two PC bits carry no
    information: index by pc >> 2 for conflict-free coverage of contiguous
    code. *)
 let slot t pc = (pc lsr 2) land t.mask
 
 (* [slot] is masked, so every index below is in range by construction and
-   the bounds checks are elided — this is the per-instruction hot path. *)
-let probe t ~slot ~pc =
-  if Array.unsafe_get t.tags slot = pc then begin
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    false
-  end
-
-let payload t slot = Array.unsafe_get t.payloads slot
-
+   the bounds checks are elided. *)
 let fill t ~slot ~pc v =
   Array.unsafe_set t.tags slot pc;
   Array.unsafe_set t.payloads slot v
-
-let lookup t pc =
-  let s = slot t pc in
-  if probe t ~slot:s ~pc then Some t.payloads.(s) else None
 
 let kill t pc =
   let s = slot t pc in
@@ -104,10 +82,6 @@ type 'a ranged = {
      a superblock replacing an entry — bumps the epoch, unlinking every
      edge in the cache in O(1). *)
   mutable chain_epoch : int;
-  mutable chain_hits : int;  (* transfers that skipped probe + ticket *)
-  mutable chain_unlinks : int;  (* stale links observed at traversal *)
-  mutable superblocks_formed : int;
-  mutable side_exits : int;  (* taken interior branches of superblocks *)
 }
 
 let ranged ?size_log2 ~max_span ~dummy () =
@@ -122,10 +96,6 @@ let ranged ?size_log2 ~max_span ~dummy () =
     span_lo = max_int;
     span_hi = 0;
     chain_epoch = 0;
-    chain_hits = 0;
-    chain_unlinks = 0;
-    superblocks_formed = 0;
-    side_exits = 0;
   }
 
 let chain_epoch t = t.chain_epoch
@@ -185,21 +155,6 @@ let stats t : stats =
     misses = t.misses;
     invalidations = t.invalidations;
     flushes = t.flushes;
-    chain_hits = 0;
-    chain_unlinks = 0;
-    superblocks_formed = 0;
-    side_exits = 0;
-  }
-
-(* Ranged-cache stats: the plain counters of the underlying cache plus
-   the chain/superblock counters that only exist at this layer. *)
-let rstats t : stats =
-  {
-    (stats t.rc) with
-    chain_hits = t.chain_hits;
-    chain_unlinks = t.chain_unlinks;
-    superblocks_formed = t.superblocks_formed;
-    side_exits = t.side_exits;
   }
 
 let reset_stats t =

@@ -43,16 +43,6 @@ type stats = {
   misses : int;
   invalidations : int;  (** entries killed by store snoops *)
   flushes : int;  (** whole-cache flushes *)
-  chain_hits : int;
-      (** block transfers that followed a direct chained link, skipping
-          the probe and the ticket re-check (ranged caches only) *)
-  chain_unlinks : int;
-      (** previously linked edges found stale (epoch mismatch) at
-          traversal time *)
-  superblocks_formed : int;  (** hot-path re-translations installed *)
-  side_exits : int;
-      (** taken interior branches that exited a superblock back into the
-          normal dispatch loop *)
 }
 
 val create : ?size_log2:int -> dummy:'a -> unit -> 'a t
@@ -60,27 +50,16 @@ val create : ?size_log2:int -> dummy:'a -> unit -> 'a t
     (default 11, i.e. 2048 words / 8 KiB of code coverage).  [dummy] is
     stored in empty payload slots and never returned by a hit. *)
 
-val entries : 'a t -> int
+(** {1 Filling}
 
-(** {1 Hot-path access}
-
-    The lookup is split so the caller holds the slot index across
-    probe/fill without recomputing it. *)
+    The machine probes the exposed representation directly (one masked
+    index, one tag compare) and counts its own hits and misses. *)
 
 val slot : 'a t -> int -> int
 (** [slot t pc]: the direct-mapped index of an instruction address. *)
 
-val probe : 'a t -> slot:int -> pc:int -> bool
-(** Does the slot hold the decode of [pc]?  Counts a hit or a miss. *)
-
-val payload : 'a t -> int -> 'a
-(** The payload at a slot; meaningful only after a successful probe. *)
-
 val fill : 'a t -> slot:int -> pc:int -> 'a -> unit
 (** Install the decode of [pc], evicting whatever the slot held. *)
-
-val lookup : 'a t -> int -> 'a option
-(** [probe] + [payload] in one call (convenience for tests). *)
 
 (** {1 Invalidation} *)
 
@@ -116,10 +95,6 @@ type 'a ranged = {
           record it at link time and are only followed while it still
           matches; {!rkill}, {!rflush} and superblock installation bump
           it, unlinking every edge in O(1) *)
-  mutable chain_hits : int;
-  mutable chain_unlinks : int;
-  mutable superblocks_formed : int;
-  mutable side_exits : int;
 }
 (** Exposed, like {!t}, for the machine's hand-inlined hot-path probe. *)
 
@@ -145,10 +120,8 @@ val rflush : 'a ranged -> unit
 (** {1 Accounting} *)
 
 val stats : 'a t -> stats
-(** Plain-cache counters; the chain/superblock fields are always 0. *)
-
-val rstats : 'a ranged -> stats
-(** Counters of the underlying cache plus the chain/superblock counters
-    kept at the ranged layer. *)
+(** The cache's counters (of a ranged cache: [stats t.rc]).  The
+    machine keeps its chain and superblock counters itself
+    ([Machine.counters]). *)
 
 val reset_stats : 'a t -> unit

@@ -141,11 +141,7 @@ type t = {
   mutable last_event : event;
   dcache : centry Decode_cache.t;
   bcache : bentry Decode_cache.ranged;
-  mutable blocks_filled : int;
-  mutable insns_translated : int;  (* sum of fill-time block lengths *)
-  mutable block_aborts : int;
-      (* blocks abandoned mid-execution because one of their own stores
-         invalidated the translation (self-modifying code) *)
+  counters : counters;
   (* Resolved-SRAM window for the allocation-free data fast path:
      in-window scalar accesses go straight to the byte array, skipping
      the bus walk and its exception plumbing.  [fm_limit = 0] marks the
@@ -163,8 +159,6 @@ type t = {
   block_pcs : int array;
   block_marks : int array;
   mutable block_ev_n : int;
-  mutable pending_mark : int;
-      (* mark attached to the next recorded event (chained entry) *)
   mutable hot_threshold : int;
       (* edge-traversal count at which a hot fall-through edge triggers
          superblock formation; tests lower it to fuzz the crossing *)
@@ -173,14 +167,6 @@ type t = {
          [adapt_hot]); tests that pin [hot_threshold] turn this off *)
   mutable ht_resolves : int;  (* edge resolutions since the last adapt *)
   mutable ht_unlinks_mark : int;  (* chain_unlinks at the last adapt *)
-  (* Dispatch_jit optimizer counters (cumulative, bumped at compile
-     time per translated block, plus [opt_side_exits] at run time). *)
-  mutable jit_blocks_compiled : int;
-  mutable checks_eliminated : int;
-  mutable checks_hoisted : int;
-  mutable checks_hoisted_nonentry : int;
-  mutable dead_bookkeeping_removed : int;
-  mutable opt_side_exits : int;
   (* Compile-time plan validation (translation validation): when set,
      every plan [compile_jit] produces is submitted to the validator
      before installation; a rejected plan is replaced by the all-full
@@ -188,6 +174,29 @@ type t = {
      serves as a plan collector for the offline `cheriot_audit plans`
      gate.  [None] (the default) installs plans unvalidated. *)
   mutable jit_validator : (bentry -> Ir.chk array -> Ir.guard array -> bool) option;
+}
+
+(* Every counter the block tiers keep, in one record the machine holds:
+   translation, chaining and optimizer activity, all cumulative.  Pure
+   accounting — no counter ever decides what executes. *)
+and counters = {
+  mutable blocks_filled : int;
+  mutable insns_translated : int;  (* sum of fill-time block lengths *)
+  mutable block_aborts : int;
+      (* blocks abandoned mid-execution because one of their own stores
+         invalidated the translation (self-modifying code) *)
+  mutable chain_hits : int;  (* transfers that skipped probe + ticket *)
+  mutable chain_unlinks : int;  (* stale links observed at traversal *)
+  mutable superblocks_formed : int;
+  mutable side_exits : int;  (* taken interior branches of superblocks *)
+  (* Dispatch_jit optimizer counters: bumped at compile time per
+     translated block, plus [opt_side_exits] at run time. *)
+  mutable jit_blocks_compiled : int;
+  mutable checks_eliminated : int;
+  mutable checks_hoisted : int;
+  mutable checks_hoisted_nonentry : int;
+  mutable dead_bookkeeping_removed : int;
+  mutable opt_side_exits : int;
   mutable jit_plans_rejected : int;
 }
 
@@ -234,7 +243,7 @@ and bentry = {
      link whose epoch still matches is followed without probing the
      cache or re-checking the successor's ticket: the link was
      validated under a PCC value-equal to the one every later traversal
-     of the same edge produces (see [chain_next]).  [b_*_epoch = -1]
+     of the same edge produces (see [chain_edge]).  [b_*_epoch = -1]
      marks an edge never linked.  The counters drive superblock
      formation. *)
   mutable b_taken : bentry option;
@@ -359,9 +368,23 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     last_event = { no_event with ev_insn = None };
     dcache;
     bcache;
-    blocks_filled = 0;
-    insns_translated = 0;
-    block_aborts = 0;
+    counters =
+      {
+        blocks_filled = 0;
+        insns_translated = 0;
+        block_aborts = 0;
+        chain_hits = 0;
+        chain_unlinks = 0;
+        superblocks_formed = 0;
+        side_exits = 0;
+        jit_blocks_compiled = 0;
+        checks_eliminated = 0;
+        checks_hoisted = 0;
+        checks_hoisted_nonentry = 0;
+        dead_bookkeeping_removed = 0;
+        opt_side_exits = 0;
+        jit_plans_rejected = 0;
+      };
     fm_sram = Sram.create ~base:0 ~size:8;
     fm_base = 0;
     fm_limit = 0;
@@ -370,19 +393,11 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     block_pcs = Array.make (round_cap + 1) 0;
     block_marks = Array.make (round_cap + 1) 0;
     block_ev_n = 0;
-    pending_mark = 0;
     hot_threshold = 32;
     hot_adaptive = true;
     ht_resolves = 0;
     ht_unlinks_mark = 0;
-    jit_blocks_compiled = 0;
-    checks_eliminated = 0;
-    checks_hoisted = 0;
-    checks_hoisted_nonentry = 0;
-    dead_bookkeeping_removed = 0;
-    opt_side_exits = 0;
     jit_validator = None;
-    jit_plans_rejected = 0;
   }
 
 (* regs.(0) is initialised to null and [set_reg] never writes it, so the
@@ -501,39 +516,6 @@ let[@inline] data_write m ~size addr v =
   end
   else data_write_slow m ~size addr v
 
-(* The effective address always comes from [rs1]'s address field; only
-   the authorizing capability differs by mode (the register itself, or
-   the implicit DDC).  Computed field-by-field at each call site so no
-   intermediate pair is built on the per-access hot path. *)
-
-let do_load m ~ridx ~rs1 ~off ~width ~signed ~rd =
-  let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
-  let r = reg m rs1 in
-  let addr = (r.Capability.addr + off) land mask32 in
-  let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
-  check_access m ~cap ~ridx ~addr ~size ~store:false ~is_cap:false;
-  let v = data_read m ~size addr in
-  let v =
-    if signed then
-      match width with
-      | B -> (v lxor 0x80) - 0x80
-      | H -> (v lxor 0x8000) - 0x8000
-      | W -> v
-    else v
-  in
-  set_reg_int m rd v;
-  size
-
-let do_store m ~ridx ~rs1 ~off ~width ~rs2 =
-  let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
-  let r = reg m rs1 in
-  let addr = (r.Capability.addr + off) land mask32 in
-  let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
-  check_access m ~cap ~ridx ~addr ~size ~store:true ~is_cap:false;
-  data_write m ~size addr (reg_int m rs2);
-  note_store m addr;
-  size
-
 (* The architectural load filter (3.3.2): on every capability load the
    base of the loaded capability indexes the revocation bitmap; a set bit
    means the capability points to freed memory and its tag is stripped
@@ -546,48 +528,28 @@ let load_filter_apply m c =
         Capability.clear_tag c
     | Some _ | None -> c
 
-let do_clc m ~rd ~rs1 ~off =
-  if m.mode = Rv32 then raise (Trap Illegal_instruction);
-  let cap = reg m rs1 in
-  let addr = (Capability.address cap + off) land mask32 in
-  check_access m ~cap ~ridx:rs1 ~addr ~size:8 ~store:false ~is_cap:true;
-  let tag, word =
-    try Bus.read_cap m.bus addr
-    with Bus.Bus_error _ -> raise (Trap Load_access_fault)
-  in
-  let loaded = Capability.of_word ~tag word in
-  let loaded = Capability.load_attenuate ~authority:cap loaded in
-  let loaded = load_filter_apply m loaded in
-  set_reg m rd loaded
+(* --- memory access -------------------------------------------------- *)
 
-let do_csc m ~rs2 ~rs1 ~off =
-  if m.mode = Rv32 then raise (Trap Illegal_instruction);
-  let cap = reg m rs1 in
-  let addr = (Capability.address cap + off) land mask32 in
-  check_access m ~cap ~ridx:rs1 ~addr ~size:8 ~store:true ~is_cap:true;
-  let value = reg m rs2 in
-  if
-    value.Capability.tag
-    && (not (Capability.is_global value))
-    && not (Capability.has_perm cap SL)
-  then raise (Trap (Cheri_fault (Cheri_permit_store_local, rs2)));
-  (try Bus.write_cap m.bus addr (value.Capability.tag, Capability.to_word value)
-   with Bus.Bus_error _ -> raise (Trap Store_access_fault));
-  note_store m addr
+(* One arm per access class, directed by an [Ir.chk] plan: [Chk_full]
+   is the full [check_access] prologue, which the reference interpreter
+   and every block tier without a compiled plan run on every access;
+   the reduced levels keep only the residual checks of a compiled plan.  The reduced levels exist only
+   for CHERIoT-mode blocks (the optimizer emits [Chk_full] throughout
+   for Rv32), so the cited register {e is} the authorizing capability
+   there.  Check order within each arm mirrors [check_access] (bounds
+   before alignment), so the first failing check — and therefore the
+   trap cause — is identical to the reference path's on every input the
+   plan admits.
 
-(* --- plan-directed memory access (Dispatch_jit) ----------------------- *)
+   The effective address always comes from [rs1]'s address field; only
+   the authorizing capability differs by mode (the register itself, or
+   the implicit DDC).  Computed field-by-field so no intermediate pair
+   is built on the per-access hot path. *)
 
-(* The [do_load]/[do_store]/[do_clc]/[do_csc] bodies with the check
-   prologue replaced by the residual checks of an [Ir.chk] plan.  The
-   reduced arms exist only for CHERIoT-mode blocks (the optimizer emits
-   [Chk_full] throughout for Rv32), so the cited register {e is} the
-   authorizing capability there.  Check order within each arm mirrors
-   [check_access] (bounds before alignment), so the first failing check
-   — and therefore the trap cause — is identical to the reference
-   path's on every input the plan admits. *)
+let[@inline always] width_bytes = function Insn.B -> 1 | H -> 2 | W -> 4
 
-let jit_load m chk ~rs1 ~off ~width ~signed ~rd =
-  let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
+let exec_load m chk ~rs1 ~off ~width ~signed ~rd =
+  let size = width_bytes width in
   let r = reg m rs1 in
   let addr = (r.Capability.addr + off) land mask32 in
   (match chk with
@@ -612,8 +574,8 @@ let jit_load m chk ~rs1 ~off ~width ~signed ~rd =
   in
   set_reg_int m rd v
 
-let jit_store m chk ~rs1 ~off ~width ~rs2 =
-  let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
+let exec_store m chk ~rs1 ~off ~width ~rs2 =
+  let size = width_bytes width in
   let r = reg m rs1 in
   let addr = (r.Capability.addr + off) land mask32 in
   (match chk with
@@ -630,7 +592,7 @@ let jit_store m chk ~rs1 ~off ~width ~rs2 =
   data_write m ~size addr (reg_int m rs2);
   note_store m addr
 
-let jit_clc m chk ~rd ~rs1 ~off =
+let exec_clc m chk ~rd ~rs1 ~off =
   if m.mode = Rv32 then raise (Trap Illegal_instruction);
   let cap = reg m rs1 in
   let addr = (Capability.address cap + off) land mask32 in
@@ -652,7 +614,7 @@ let jit_clc m chk ~rd ~rs1 ~off =
   let loaded = load_filter_apply m loaded in
   set_reg m rd loaded
 
-let jit_csc m chk ~rs2 ~rs1 ~off =
+let exec_csc m chk ~rs2 ~rs1 ~off =
   if m.mode = Rv32 then raise (Trap Illegal_instruction);
   let cap = reg m rs1 in
   let addr = (Capability.address cap + off) land mask32 in
@@ -983,6 +945,15 @@ let enter_trap m cause =
   end
   else Step_double_fault
 
+(* Take a trap or deliver an interrupt: nothing retires, so the event
+   carries only the cause. *)
+let take_trap m cause =
+  m.last_event <- { no_event with ev_trap = Some cause };
+  enter_trap m cause
+
+let interrupt_cause m =
+  if timer_pending m then Interrupt_timer else Interrupt_external
+
 (* --- fetch/execute ---------------------------------------------------- *)
 
 (* Pure in (mode, pcc, pc) — the block translator runs it against the
@@ -1192,19 +1163,19 @@ let exec m insn opt nextc =
       else advance m nextc;
       finish m ~taken opt
   | Load { signed; width; rd; rs1; off } ->
-      let bytes = do_load m ~ridx:rs1 ~rs1 ~off ~width ~signed ~rd in
+      exec_load m Ir.Chk_full ~rs1 ~off ~width ~signed ~rd;
       advance m nextc;
-      finish m ~mem:bytes opt
+      finish m ~mem:(width_bytes width) opt
   | Store { width; rs2; rs1; off } ->
-      let bytes = do_store m ~ridx:rs1 ~rs1 ~off ~width ~rs2 in
+      exec_store m Ir.Chk_full ~rs1 ~off ~width ~rs2;
       advance m nextc;
-      finish m ~mem:bytes ~store:true opt
+      finish m ~mem:(width_bytes width) ~store:true opt
   | Clc (rd, rs1, off) ->
-      do_clc m ~rd ~rs1 ~off;
+      exec_clc m Ir.Chk_full ~rd ~rs1 ~off;
       advance m nextc;
       finish m ~mem:8 ~cap_mem:true opt
   | Csc (rs2, rs1, off) ->
-      do_csc m ~rs2 ~rs1 ~off;
+      exec_csc m Ir.Chk_full ~rs2 ~rs1 ~off;
       advance m nextc;
       finish m ~mem:8 ~cap_mem:true ~store:true opt
   | Op_imm (op, rd, rs1, imm) ->
@@ -1256,17 +1227,9 @@ let exec m insn opt nextc =
       advance_finish m nextc opt
 
 let step_gen m ~cached =
-  if m.waiting then
-    if interrupt_pending m then m.waiting <- false else ()
-  else ();
+  if m.waiting && interrupt_pending m then m.waiting <- false;
   if m.waiting then Step_waiting
-  else if m.mie && interrupt_pending m then begin
-    let cause =
-      if timer_pending m then Interrupt_timer else Interrupt_external
-    in
-    m.last_event <- { no_event with ev_trap = Some cause };
-    enter_trap m cause
-  end
+  else if m.mie && interrupt_pending m then take_trap m (interrupt_cause m)
   else
     try
       if cached then
@@ -1278,9 +1241,7 @@ let step_gen m ~cached =
       else
         let insn = fetch_decode m in
         exec m insn (Some insn) None
-    with Trap cause ->
-      m.last_event <- { no_event with ev_trap = Some cause };
-      enter_trap m cause
+    with Trap cause -> take_trap m cause
 
 let step m = step_gen m ~cached:false
 let step_fast m = step_gen m ~cached:true
@@ -1386,8 +1347,9 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
         }
 
 let install_block m (b : bentry) =
-  m.blocks_filled <- m.blocks_filled + 1;
-  m.insns_translated <- m.insns_translated + b.b_len;
+  let c = m.counters in
+  c.blocks_filled <- c.blocks_filled + 1;
+  c.insns_translated <- c.insns_translated + b.b_len;
   let bc = m.bcache in
   let s = Decode_cache.slot bc.Decode_cache.rc b.b_start in
   Decode_cache.rfill bc ~slot:s ~pc:b.b_start ~lo:b.b_start
@@ -1418,10 +1380,8 @@ let form_superblock m (b : bentry) =
   with
   | Some nb when nb.b_len > b.b_len ->
       install_block m nb;
-      let bc = m.bcache in
-      bc.Decode_cache.superblocks_formed <-
-        bc.Decode_cache.superblocks_formed + 1;
-      Decode_cache.bump_chain_epoch bc
+      m.counters.superblocks_formed <- m.counters.superblocks_formed + 1;
+      Decode_cache.bump_chain_epoch m.bcache
   | _ -> ()
 
 (* Same ticket discipline as [ticket_valid], with two differences.
@@ -1451,23 +1411,23 @@ let[@inline always] block_ticket_valid m (b : bentry) =
      && tp.Capability.otype == cp.Capability.otype
      && tp.Capability.reserved = cp.Capability.reserved)
 
-(* Copy the live [last_event] (reused in place every instruction) into
-   the retirement ring so the perf harness can charge each instruction
-   of the round after it completes. *)
-let record_event m pc =
-  let n = m.block_ev_n in
-  let dst = Array.unsafe_get m.block_events n in
-  let src = m.last_event in
-  dst.ev_insn <- src.ev_insn;
-  dst.ev_taken_branch <- src.ev_taken_branch;
-  dst.ev_mem_bytes <- src.ev_mem_bytes;
-  dst.ev_is_cap_mem <- src.ev_is_cap_mem;
-  dst.ev_is_store <- src.ev_is_store;
-  dst.ev_trap <- src.ev_trap;
-  m.block_pcs.(n) <- pc;
-  m.block_marks.(n) <- m.pending_mark;
-  m.pending_mark <- 0;
-  m.block_ev_n <- n + 1
+(* The hand-inlined block-cache probe (it mirrors [fetch_cached]): the
+   translated block at [pc] if its ticket validates under the live PCC,
+   counted as a hit; otherwise the cache's dummy entry — a physical-
+   equality sentinel instead of an [option], so the probe never
+   allocates.  Misses are the caller's to count. *)
+let[@inline] probe_block m pc =
+  let rc = m.bcache.Decode_cache.rc in
+  let s = (pc lsr 2) land rc.Decode_cache.mask in
+  let b = Array.unsafe_get rc.Decode_cache.payloads s in
+  if Array.unsafe_get rc.Decode_cache.tags s = pc && block_ticket_valid m b
+  then begin
+    rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
+    b
+  end
+  else rc.Decode_cache.dummy
+
+(* --- the retirement ring ---------------------------------------------- *)
 
 (* Control-flow marks attached to ring entries for trace rendering. *)
 let mark_chained = 1
@@ -1475,71 +1435,84 @@ let mark_side_exit = 2
 let mark_jit = 3
 let mark_opt_side_exit = 4
 
-(* The recording executor: execute (a prefix of) a validated block
-   through the generic [exec] arms, copying every retired instruction's
-   event into the ring.  The PCC sits at
-   [b.b_start]; the caller has established that no interrupt is
-   deliverable, and the body invariant (see [block_terminator]) keeps
-   that true across every non-final instruction.  Returns
-   [(result, retired)] where [retired] counts fuel units exactly as the
-   per-step [run] loop does (a trapping instruction consumes one).
+(* The memory fields of the event a retired, non-trapping instruction
+   leaves: a function of its class alone, field-for-field what
+   [finish] writes. *)
+let set_mem_fields ev (i : Insn.t) =
+  match i with
+  | Insn.Load { width; _ } ->
+      ev.ev_mem_bytes <- width_bytes width;
+      ev.ev_is_cap_mem <- false;
+      ev.ev_is_store <- false
+  | Insn.Store { width; _ } ->
+      ev.ev_mem_bytes <- width_bytes width;
+      ev.ev_is_cap_mem <- false;
+      ev.ev_is_store <- true
+  | Insn.Clc _ ->
+      ev.ev_mem_bytes <- 8;
+      ev.ev_is_cap_mem <- true;
+      ev.ev_is_store <- false
+  | Insn.Csc _ ->
+      ev.ev_mem_bytes <- 8;
+      ev.ev_is_cap_mem <- true;
+      ev.ev_is_store <- true
+  | _ ->
+      ev.ev_mem_bytes <- 0;
+      ev.ev_is_cap_mem <- false;
+      ev.ev_is_store <- false
 
-   Stops early when fuel runs out (the next round re-enters at the
-   fall-through PC — a new block forms there) or when a store from the
-   block invalidates the block itself: the remaining decoded entries
-   are stale, so execution abandons them and re-translates from the
-   live bytes.  Abandonment at {e block} granularity is conservative —
-   the store may have patched an already-executed word — but always
-   correct, and self-modifying code is rare. *)
-let exec_block m (b : bentry) ~fuel =
-  let bc = m.bcache in
-  let slot = Decode_cache.slot bc.Decode_cache.rc b.b_start in
-  let n = if fuel < b.b_len then fuel else b.b_len in
-  let retired = ref 0 in
-  let result = ref Step_ok in
-  let stop = ref false in
-  (try
-     while not !stop && !retired < n do
-       let i = !retired in
-       let r =
-         exec m
-           (Array.unsafe_get b.b_insns i)
-           (Array.unsafe_get b.b_opts i)
-           (Array.unsafe_get b.b_nexts i)
-       in
-       incr retired;
-       record_event m (b.b_start + (4 * i));
-       match r with
-       | Step_ok ->
-           if m.last_event.ev_taken_branch && !retired < b.b_len then begin
-             (* taken interior branch of a superblock: the PCC left the
-                straight-line path, so the remaining entries no longer
-                apply — side-exit back into the dispatch loop.  The
-                generic [exec] arm already left exact PCC / minstret /
-                event state, so stopping {e is} the stub. *)
-             bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-             m.block_marks.(m.block_ev_n - 1) <- mark_side_exit;
-             stop := true
-           end
-           else if
-             m.last_event.ev_is_store
-             && Array.unsafe_get bc.Decode_cache.rc.Decode_cache.tags slot
-                <> b.b_start
-           then begin
-             m.block_aborts <- m.block_aborts + 1;
-             stop := true
-           end
-       | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault) as r
-         ->
-           result := r;
-           stop := true
-     done
-   with Trap cause ->
-     m.last_event <- { no_event with ev_trap = Some cause };
-     incr retired;
-     record_event m (b.b_start + (4 * (!retired - 1)));
-     result := enter_trap m cause);
-  (!result, !retired)
+let copy_event src dst =
+  dst.ev_insn <- src.ev_insn;
+  dst.ev_taken_branch <- src.ev_taken_branch;
+  dst.ev_mem_bytes <- src.ev_mem_bytes;
+  dst.ev_is_cap_mem <- src.ev_is_cap_mem;
+  dst.ev_is_store <- src.ev_is_store;
+  dst.ev_trap <- src.ev_trap
+
+(* Append an entry at [pc] to the ring and return its event, for the
+   caller to fill. *)
+let ring_push m pc mark =
+  let n = m.block_ev_n in
+  m.block_pcs.(n) <- pc;
+  m.block_marks.(n) <- mark;
+  m.block_ev_n <- n + 1;
+  m.block_events.(n)
+
+(* A round of one step (or one delivered interrupt): copy the live
+   [last_event], which is reused in place every instruction. *)
+let record_event m pc = copy_event m.last_event (ring_push m pc 0)
+
+(* One segment of a recorded block-tier round: the first [len]
+   instructions of [b], all retired without trapping, entered with trace
+   mark [mark].  Every event is rebuilt from the decoded instruction;
+   only the segment's last instruction can have redirected the PC
+   ([taken]), and a taken one inside the block is a side exit. *)
+let record_segment m (b : bentry) len ~taken ~mark =
+  for k = 0 to len - 1 do
+    let ev = ring_push m (b.b_start + (4 * k)) (if k = 0 then mark else 0) in
+    ev.ev_insn <- Array.unsafe_get b.b_opts k;
+    set_mem_fields ev (Array.unsafe_get b.b_insns k);
+    ev.ev_taken_branch <- taken && k = len - 1;
+    ev.ev_trap <- None
+  done;
+  if taken && len < b.b_len then
+    m.block_marks.(m.block_ev_n - 1) <- mark_side_exit
+
+(* The round's last segment: as above, except that its final entry is
+   [last_event] itself, which the executor leaves exact (a trap, a halt,
+   a WFI, or the event of whatever instruction the round ended on). *)
+let record_last_segment m (b : bentry) len ~mark =
+  record_segment m b len ~taken:m.last_event.ev_taken_branch ~mark;
+  copy_event m.last_event m.block_events.(m.block_ev_n - 1)
+
+(* A recorded round ends before any [Csr] that is not its first
+   instruction.  The perf harness charges a round's cycles only after
+   the round, so a later [Csr] would read an [mcycle] that still lacks
+   the earlier instructions' cycles; the next round starts on it with
+   [mcycle] exact.  A [Csr] ends its block, so it sits either at the
+   end of a longer block or alone in a block of its own. *)
+let csr_at (b : bentry) k =
+  match Array.unsafe_get b.b_insns k with Insn.Csr _ -> true | _ -> false
 
 (* Adaptive hotness: every 1024 edge resolutions, compare the unlink
    rate against a fixed budget.  Lots of unlinks means translations are
@@ -1554,8 +1527,8 @@ let adapt_hot m =
     m.ht_resolves <- m.ht_resolves + 1;
     if m.ht_resolves >= 1024 then begin
       m.ht_resolves <- 0;
-      let unl = m.bcache.Decode_cache.chain_unlinks - m.ht_unlinks_mark in
-      m.ht_unlinks_mark <- m.bcache.Decode_cache.chain_unlinks;
+      let unl = m.counters.chain_unlinks - m.ht_unlinks_mark in
+      m.ht_unlinks_mark <- m.counters.chain_unlinks;
       if unl >= 128 then m.hot_threshold <- min 512 (m.hot_threshold * 2)
       else m.hot_threshold <- max 8 (m.hot_threshold / 2)
     end
@@ -1620,20 +1593,14 @@ let chain_edge m (b : bentry) edge =
     let lep = if edge = 1 then b.b_taken_epoch else b.b_fall_epoch in
     match link with
     | Some succ when lep = epoch && succ.b_mode = m.mode ->
-        bc.Decode_cache.chain_hits <- bc.Decode_cache.chain_hits + 1;
+        m.counters.chain_hits <- m.counters.chain_hits + 1;
         succ
     | _ ->
         if lep >= 0 && lep <> epoch then
-          bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
-        let pc = Capability.address m.pcc in
-        let rc = bc.Decode_cache.rc in
-        let s = (pc lsr 2) land rc.Decode_cache.mask in
-        if
-          Array.unsafe_get rc.Decode_cache.tags s = pc
-          && block_ticket_valid m (Array.unsafe_get rc.Decode_cache.payloads s)
-        then begin
-          rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-          let succ = Array.unsafe_get rc.Decode_cache.payloads s in
+          m.counters.chain_unlinks <- m.counters.chain_unlinks + 1;
+        (* a miss returns the dummy: the caller's fill path counts it *)
+        let succ = probe_block m (Capability.address m.pcc) in
+        if succ != bc.Decode_cache.rc.Decode_cache.dummy then
           if edge = 1 then begin
             b.b_taken <- Some succ;
             b.b_taken_epoch <- epoch
@@ -1642,10 +1609,7 @@ let chain_edge m (b : bentry) edge =
             b.b_fall <- Some succ;
             b.b_fall_epoch <- epoch
           end;
-          succ
-        end
-        else rc.Decode_cache.dummy
-        (* miss: the caller's fill path counts it and fills *)
+        succ
   end
 
 (* [b]'s terminator was a [Jalr] that completed (edge 2): resolve the
@@ -1667,49 +1631,17 @@ let chain_edge_ind m (b : bentry) =
   | Some succ
     when b.b_ind_epoch = epoch && succ.b_start = pc
          && block_ticket_valid m succ ->
-      bc.Decode_cache.chain_hits <- bc.Decode_cache.chain_hits + 1;
+      m.counters.chain_hits <- m.counters.chain_hits + 1;
       succ
   | _ ->
       if b.b_ind_epoch >= 0 && b.b_ind_epoch <> epoch then
-        bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
-      let rc = bc.Decode_cache.rc in
-      let s = (pc lsr 2) land rc.Decode_cache.mask in
-      if
-        Array.unsafe_get rc.Decode_cache.tags s = pc
-        && block_ticket_valid m (Array.unsafe_get rc.Decode_cache.payloads s)
-      then begin
-        rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-        let succ = Array.unsafe_get rc.Decode_cache.payloads s in
+        m.counters.chain_unlinks <- m.counters.chain_unlinks + 1;
+      let succ = probe_block m pc in
+      if succ != bc.Decode_cache.rc.Decode_cache.dummy then begin
         b.b_ind <- Some succ;
-        b.b_ind_epoch <- epoch;
-        succ
-      end
-      else rc.Decode_cache.dummy
-
-(* The recording path's entry point: derive the edge from the
-   terminator and the architectural event (the generic [exec] arm set
-   [ev_taken_branch]); [exec_fast] calls [chain_edge] /
-   [chain_edge_ind] directly because it tracks the branch direction
-   itself.  A [Jalr] may have entered through a sentry that
-   enabled interrupts, so its edge chains only when the delivery
-   predicate is still false — the same check the next round would run
-   first (and [mcycle]/[ext_interrupt] cannot move inside a round, so
-   checking it here is exactly per-step equivalent). *)
-let chain_next m (b : bentry) =
-  let dummy = m.bcache.Decode_cache.rc.Decode_cache.dummy in
-  match Array.unsafe_get b.b_insns (b.b_len - 1) with
-  | Insn.Jal _ -> chain_edge m b 1
-  | Insn.Branch _ ->
-      chain_edge m b (if m.last_event.ev_taken_branch then 1 else 0)
-  | Insn.Jalr _ ->
-      if m.mie && interrupt_pending m then dummy else chain_edge_ind m b
-  | i ->
-      (* Mret/Csr/…: posture-changing, never chained.  A block that
-         ended without a terminator (length cap, or the next word was
-         untranslatable) fell through: non-terminators cannot change
-         the delivery predicate, so its fall edge chains like a
-         not-taken branch's. *)
-      if block_terminator i then dummy else chain_edge m b 0
+        b.b_ind_epoch <- epoch
+      end;
+      succ
 
 (* Compile [b]'s optimized execution plan: the [Ir] pass results plus
    compile-time folds of the static control-flow capabilities.  A
@@ -1734,7 +1666,7 @@ let compile_jit m (b : bentry) =
   let chks, guards, st =
     match m.jit_validator with
     | Some validate when not (validate b chks guards) ->
-        m.jit_plans_rejected <- m.jit_plans_rejected + 1;
+        m.counters.jit_plans_rejected <- m.counters.jit_plans_rejected + 1;
         ( Array.make b.b_len Ir.Chk_full,
           [||],
           { st with Ir.eliminated = 0; hoisted = 0; hoisted_nonentry = 0 } )
@@ -1781,13 +1713,14 @@ let compile_jit m (b : bentry) =
           end
       | _ -> ()
     done;
-  m.jit_blocks_compiled <- m.jit_blocks_compiled + 1;
-  m.checks_eliminated <- m.checks_eliminated + st.Ir.eliminated;
-  m.checks_hoisted <- m.checks_hoisted + st.Ir.hoisted;
-  m.checks_hoisted_nonentry <-
-    m.checks_hoisted_nonentry + st.Ir.hoisted_nonentry;
-  m.dead_bookkeeping_removed <-
-    m.dead_bookkeeping_removed + st.Ir.dead_bookkeeping + !folds;
+  let c = m.counters in
+  c.jit_blocks_compiled <- c.jit_blocks_compiled + 1;
+  c.checks_eliminated <- c.checks_eliminated + st.Ir.eliminated;
+  c.checks_hoisted <- c.checks_hoisted + st.Ir.hoisted;
+  c.checks_hoisted_nonentry <-
+    c.checks_hoisted_nonentry + st.Ir.hoisted_nonentry;
+  c.dead_bookkeeping_removed <-
+    c.dead_bookkeeping_removed + st.Ir.dead_bookkeeping + !folds;
   let t =
     {
       j_chk = chks;
@@ -1816,10 +1749,10 @@ let full_plan =
     j_link_off = Capability.null;
   }
 
-(* The fast round executor of the block, chain and jit tiers (the
-   [record:false] path).  It runs validated blocks with the same
-   semantics as the generic [exec] arms, and with two settings derived
-   from the dispatch tier:
+(* The one block executor: every block-tier round, recorded or not,
+   runs here.  It runs validated blocks with the same semantics as the
+   generic [exec] arms, and with two settings derived from the dispatch
+   tier:
 
    - [links]: at the end of a block, resolve the successor through
      [chain_edge]/[chain_edge_ind] and keep going inside the same round
@@ -1864,6 +1797,14 @@ let full_plan =
    alone for every deferred class), so the observable state matches
    the per-step path exactly.
 
+   [record] (the perf harness and the tracer, through [step_round])
+   fills the retirement ring as the round goes: each block's executed
+   prefix is one segment, appended when the round leaves the block (a
+   linked transfer, a side-exit continue, or the end of the round; see
+   [record_segment]), and a recorded round stops before a non-initial
+   [Csr] (see [csr_at]).  Unrecorded rounds pay one untaken branch per
+   segment end.
+
    Store-abort: a store that kills the running block's own translation
    abandons the rest of it — the remaining decoded entries are stale —
    and the next round re-translates from the live bytes.
@@ -1872,17 +1813,20 @@ let full_plan =
    is the point of the merged design: the per-block costs (refs, the
    [sync] closure, the result tuple) are paid once per round, which in
    a hot loop is once per thousands of instructions. *)
-let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
+let exec_fast m (b0 : bentry) ~fuel ~links ~plan ~record =
   let bc = m.bcache in
   let rc = bc.Decode_cache.rc in
   let tags = rc.Decode_cache.tags in
   let dummy = rc.Decode_cache.dummy in
+  let ctr = m.counters in
   let b = ref b0 in
   let base = ref 0 in  (* retired in completed earlier blocks *)
   let i = ref 0 in
   let pending = ref 0 in
   let result = ref Step_ok in
   let stop = ref false in
+  (* trace mark of the current block's first ring entry *)
+  let mark = ref 0 in
   (* [sync] reads the current block's PCC-advance array through a ref
      so the one closure serves every block of the round *)
   let nexts_r = ref b0.b_nexts in
@@ -1902,31 +1846,10 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
   let cont = ref dummy in
   (* the event of instruction [k] of [blk] when the round ends after it
      with the deferred window drained (an inline edge instruction, or a
-     deferred one): the fields are rebuilt by class — field-for-field
-     what [finish] would write *)
+     deferred one) *)
   let end_event blk k taken =
     let ev = m.last_event in
-    (match Array.unsafe_get blk.b_insns k with
-    | Insn.Load { width; _ } ->
-        ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-        ev.ev_is_cap_mem <- false;
-        ev.ev_is_store <- false
-    | Insn.Store { width; _ } ->
-        ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-        ev.ev_is_cap_mem <- false;
-        ev.ev_is_store <- true
-    | Insn.Clc _ ->
-        ev.ev_mem_bytes <- 8;
-        ev.ev_is_cap_mem <- true;
-        ev.ev_is_store <- false
-    | Insn.Csc _ ->
-        ev.ev_mem_bytes <- 8;
-        ev.ev_is_cap_mem <- true;
-        ev.ev_is_store <- true
-    | _ ->
-        ev.ev_mem_bytes <- 0;
-        ev.ev_is_cap_mem <- false;
-        ev.ev_is_store <- false);
+    set_mem_fields ev (Array.unsafe_get blk.b_insns k);
     ev.ev_insn <- Array.unsafe_get blk.b_opts k;
     ev.ev_taken_branch <- taken;
     ev.ev_trap <- None
@@ -1944,6 +1867,10 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
        let slot = (b_start lsr 2) land rc.Decode_cache.mask in
        let rem = fuel - !base in
        let n = if rem < b_len then rem else b_len in
+       let n =
+         if record && n = b_len && n > 1 && csr_at blk (n - 1) then n - 1
+         else n
+       in
        let t =
          if not plan then full_plan
          else match blk.b_jit with Some t -> t | None -> compile_jit m blk
@@ -1954,7 +1881,10 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
        let full =
          Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
        in
-       if full then m.opt_side_exits <- m.opt_side_exits + 1;
+       if full then begin
+         ctr.opt_side_exits <- ctr.opt_side_exits + 1;
+         mark := mark_opt_side_exit
+       end;
        let chks = t.j_chk in
        let jbr = t.j_br in
        nexts_r := nexts;
@@ -1974,31 +1904,31 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
              set_reg_int m rd (muldiv_exec op (reg_int m rs1) (reg_int m rs2));
              incr pending
          | Insn.Load { signed; width; rd; rs1; off } ->
-             jit_load m
+             exec_load m
                (if full then Ir.Chk_full else Array.unsafe_get chks !i)
                ~rs1 ~off ~width ~signed ~rd;
              incr pending
          | Insn.Store { width; rs2; rs1; off } ->
-             jit_store m
+             exec_store m
                (if full then Ir.Chk_full else Array.unsafe_get chks !i)
                ~rs1 ~off ~width ~rs2;
              incr pending;
              if Array.unsafe_get tags slot <> b_start then begin
-               m.block_aborts <- m.block_aborts + 1;
+               ctr.block_aborts <- ctr.block_aborts + 1;
                stop := true
              end
          | Insn.Clc (rd, rs1, off) ->
-             jit_clc m
+             exec_clc m
                (if full then Ir.Chk_full else Array.unsafe_get chks !i)
                ~rd ~rs1 ~off;
              incr pending
          | Insn.Csc (rs2, rs1, off) ->
-             jit_csc m
+             exec_csc m
                (if full then Ir.Chk_full else Array.unsafe_get chks !i)
                ~rs2 ~rs1 ~off;
              incr pending;
              if Array.unsafe_get tags slot <> b_start then begin
-               m.block_aborts <- m.block_aborts + 1;
+               ctr.block_aborts <- ctr.block_aborts + 1;
                stop := true
              end
          | Insn.Jal (rd, off) ->
@@ -2045,18 +1975,11 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
                     boundary); on a miss the round ends and the next one
                     fills.  The miss is not counted here — the next
                     round's probe counts it. *)
-                 bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
+                 ctr.side_exits <- ctr.side_exits + 1;
                  (if links && !base + !i + 1 < fuel then begin
-                    let pc = Capability.address m.pcc in
-                    let s = (pc lsr 2) land rc.Decode_cache.mask in
-                    if
-                      Array.unsafe_get tags s = pc
-                      && block_ticket_valid m
-                           (Array.unsafe_get rc.Decode_cache.payloads s)
-                    then begin
-                      rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-                      cont := Array.unsafe_get rc.Decode_cache.payloads s
-                    end
+                    let nb = probe_block m (Capability.address m.pcc) in
+                    if nb != dummy && not (record && csr_at nb 0) then
+                      cont := nb
                   end);
                  if !cont == dummy then begin
                    end_event blk !i true;
@@ -2082,25 +2005,15 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
              exec_cap m insn;
              incr pending
          | insn -> (
+             (* the PC-reading and system instructions; none stores, and
+                all but [Auipcc] end their block *)
              sync ();
              match
                exec m insn
                  (Array.unsafe_get opts !i)
                  (Array.unsafe_get nexts !i)
              with
-             | Step_ok ->
-                 if m.last_event.ev_taken_branch && !i < b_len - 1 then begin
-                   bc.Decode_cache.side_exits <-
-                     bc.Decode_cache.side_exits + 1;
-                   stop := true
-                 end
-                 else if
-                   m.last_event.ev_is_store
-                   && Array.unsafe_get tags slot <> b_start
-                 then begin
-                   m.block_aborts <- m.block_aborts + 1;
-                   stop := true
-                 end
+             | Step_ok -> ()
              | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault)
                as r ->
                  result := r;
@@ -2109,6 +2022,8 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
        done;
        if !cont != dummy then begin
          (* side-exit continue: transfer to the probed block *)
+         if record then record_segment m blk !i ~taken:true ~mark:!mark;
+         mark := 0;
          base := !base + !i;
          b := !cont;
          cont := dummy
@@ -2135,23 +2050,23 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
                   pending: stop exactly where the per-step loop would
                   deliver; the [exec] arm's event stands *)
                stop := true
-             else if links && !base + !i < fuel then begin
+             else begin
                let succ =
-                 if edge = 2 then chain_edge_ind m blk
+                 if not (links && !base + !i < fuel) then dummy
+                 else if edge = 2 then chain_edge_ind m blk
                  else chain_edge m blk edge
                in
-               if succ == dummy then begin
+               if succ == dummy || (record && csr_at succ 0) then begin
                  if edge <> 2 then end_event blk (b_len - 1) (edge = 1);
                  stop := true
                end
                else begin
+                 if record then
+                   record_segment m blk !i ~taken:(edge > 0) ~mark:!mark;
+                 mark := if plan then mark_jit else mark_chained;
                  base := !base + !i;
                  b := succ
                end
-             end
-             else begin
-               if edge <> 2 then end_event blk (b_len - 1) (edge = 1);
-               stop := true
              end
            end
          end
@@ -2160,83 +2075,40 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan =
      if !pending > 0 then begin
        sync ();
        end_event !b (!i - 1) false
-     end
+     end;
+     if record then record_last_segment m !b !i ~mark:!mark
    with Trap cause ->
      sync ();
-     m.last_event <- { no_event with ev_trap = Some cause };
      incr i;
-     result := enter_trap m cause);
+     result := take_trap m cause;
+     if record then record_last_segment m !b !i ~mark:!mark);
   (!result, !base + !i)
 
 (* One round of a block tier: interrupt/WFI handling exactly as
-   [step_gen], then up to [fuel] instructions starting from the block
-   at the PC.  The hand-inlined probe mirrors [fetch_cached].  The
-   dispatch tier sets the two settings of the round: [links] (chain and
-   jit) keeps the round going across linked edges while fuel remains,
-   [plan] (jit) runs each block under its compiled plan.
-
-   The fast path ([record:false]) is [exec_fast].  The recording path
-   walks block by block through [exec_block] so it can record and mark
-   every ring entry; with [links] it follows [chain_next], and with
-   [plan] it also compiles each block it enters and evaluates its
-   guards, so the optimizer counters and the [mark_jit] /
-   [mark_opt_side_exit] trace marks reflect what [exec_fast] would do —
-   execution itself stays on the fully-checked generic path, which the
-   plans are observationally equal to by construction. *)
+   [step_gen], then up to [fuel] instructions of [exec_fast] starting
+   from the block at the PC.  The dispatch tier sets the two settings
+   of the round: [links] (chain and jit) keeps the round going across
+   linked edges while fuel remains, [plan] (jit) runs each block under
+   its compiled plan; [record] fills the retirement ring. *)
 let block_round m ~fuel ~record dispatch =
   let links = dispatch <> Dispatch_block in
   let plan = dispatch = Dispatch_jit in
   if m.waiting && interrupt_pending m then m.waiting <- false;
   if m.waiting then (Step_waiting, 1)
   else if m.mie && interrupt_pending m then begin
-    let cause =
-      if timer_pending m then Interrupt_timer else Interrupt_external
-    in
-    m.last_event <- { no_event with ev_trap = Some cause };
-    let r = enter_trap m cause in
+    let r = take_trap m (interrupt_cause m) in
     if record then record_event m (Capability.address m.mepcc);
     (r, 1)
   end
   else begin
-    let dummy = m.bcache.Decode_cache.rc.Decode_cache.dummy in
-    let rec go b fuel used =
-      (if plan then begin
-         let t = match b.b_jit with Some t -> t | None -> compile_jit m b in
-         if Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
-         then begin
-           m.opt_side_exits <- m.opt_side_exits + 1;
-           m.pending_mark <- mark_opt_side_exit
-         end
-       end);
-      let r, n = exec_block m b ~fuel in
-      let used = used + n in
-      match r with
-      | Step_ok when links && n = b.b_len && fuel > n ->
-          let succ = chain_next m b in
-          if succ != dummy then begin
-            m.pending_mark <- (if plan then mark_jit else mark_chained);
-            go succ (fuel - n) used
-          end
-          else (r, used)
-      | r -> (r, used)
-    in
-    let exec_from b =
-      if record then go b fuel 0 else exec_fast m b ~fuel ~links ~plan
-    in
     let pc = Capability.address m.pcc in
     let rc = m.bcache.Decode_cache.rc in
-    let s = (pc lsr 2) land rc.Decode_cache.mask in
-    if
-      Array.unsafe_get rc.Decode_cache.tags s = pc
-      && block_ticket_valid m (Array.unsafe_get rc.Decode_cache.payloads s)
-    then begin
-      rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-      exec_from (Array.unsafe_get rc.Decode_cache.payloads s)
-    end
+    let b = probe_block m pc in
+    if b != rc.Decode_cache.dummy then exec_fast m b ~fuel ~links ~plan ~record
     else begin
       rc.Decode_cache.misses <- rc.Decode_cache.misses + 1;
       match fill_block m pc with
-      | Some b -> exec_from b
+      | Some b -> exec_fast m b ~fuel ~links ~plan ~record
       | None ->
           (* untranslatable first word (MMIO-backed code, illegal word,
              failing fetch checks): one exact per-step step *)
@@ -2252,7 +2124,6 @@ let block_round m ~fuel ~record dispatch =
    is one step; an idle WFI step retires nothing and records nothing. *)
 let step_round m dispatch =
   m.block_ev_n <- 0;
-  m.pending_mark <- 0;
   match dispatch with
   | Dispatch_ref | Dispatch_cached ->
       let pc = Capability.address m.pcc in
@@ -2325,26 +2196,27 @@ type block_stats = {
 }
 
 let block_stats m =
-  let s = Decode_cache.rstats m.bcache in
+  let s = Decode_cache.stats m.bcache.Decode_cache.rc in
+  let c = m.counters in
   {
     block_hits = s.Decode_cache.hits;
     block_misses = s.Decode_cache.misses;
     block_invalidations = s.Decode_cache.invalidations;
     block_flushes = s.Decode_cache.flushes;
-    blocks_filled = m.blocks_filled;
-    insns_translated = m.insns_translated;
-    block_aborts = m.block_aborts;
-    chain_hits = s.Decode_cache.chain_hits;
-    chain_unlinks = s.Decode_cache.chain_unlinks;
-    superblocks_formed = s.Decode_cache.superblocks_formed;
-    side_exits = s.Decode_cache.side_exits;
-    jit_blocks_compiled = m.jit_blocks_compiled;
-    checks_eliminated = m.checks_eliminated;
-    checks_hoisted = m.checks_hoisted;
-    checks_hoisted_nonentry = m.checks_hoisted_nonentry;
-    dead_bookkeeping_removed = m.dead_bookkeeping_removed;
-    opt_side_exits = m.opt_side_exits;
-    jit_plans_rejected = m.jit_plans_rejected;
+    blocks_filled = c.blocks_filled;
+    insns_translated = c.insns_translated;
+    block_aborts = c.block_aborts;
+    chain_hits = c.chain_hits;
+    chain_unlinks = c.chain_unlinks;
+    superblocks_formed = c.superblocks_formed;
+    side_exits = c.side_exits;
+    jit_blocks_compiled = c.jit_blocks_compiled;
+    checks_eliminated = c.checks_eliminated;
+    checks_hoisted = c.checks_hoisted;
+    checks_hoisted_nonentry = c.checks_hoisted_nonentry;
+    dead_bookkeeping_removed = c.dead_bookkeeping_removed;
+    opt_side_exits = c.opt_side_exits;
+    jit_plans_rejected = c.jit_plans_rejected;
   }
 
 let avg_block_len (s : block_stats) =

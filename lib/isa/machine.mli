@@ -113,13 +113,9 @@ type t = {
       (** decoded-instruction cache backing {!step_fast}; invalidated by
           the bus store snoop *)
   bcache : bentry Decode_cache.ranged;
-      (** basic-block translation cache backing the [Dispatch_block]
-          path; store snoops kill any block whose span the store hits *)
-  mutable blocks_filled : int;
-  mutable insns_translated : int;  (** sum of fill-time block lengths *)
-  mutable block_aborts : int;
-      (** blocks abandoned mid-execution after one of their own stores
-          invalidated the translation (self-modifying code) *)
+      (** basic-block translation cache backing the block tiers; store
+          snoops kill any block whose span the store hits *)
+  counters : counters;  (** the block tiers' cumulative counters *)
   mutable fm_sram : Cheriot_mem.Sram.t;
       (** resolved-SRAM window for the allocation-free data fast path *)
   mutable fm_base : int;
@@ -129,12 +125,10 @@ type t = {
           instruction of the last round *)
   block_pcs : int array;  (** PCs parallel to [block_events] *)
   block_marks : int array;
-      (** control-flow marks parallel to [block_events]: 0 = plain,
-          1 = first instruction after a chained transfer, 2 = taken
-          interior branch that side-exited a superblock *)
+      (** control-flow marks parallel to [block_events]: 0 = plain, or
+          one of [mark_chained], [mark_side_exit], [mark_jit],
+          [mark_opt_side_exit] *)
   mutable block_ev_n : int;  (** live entries in the ring *)
-  mutable pending_mark : int;
-      (** mark attached to the next recorded ring entry *)
   mutable hot_threshold : int;
       (** fall-through-edge traversal count at which [Dispatch_chain]
           re-translates the joined path as a superblock (default 32;
@@ -145,6 +139,30 @@ type t = {
   mutable ht_resolves : int;  (** edge resolutions since the last adapt *)
   mutable ht_unlinks_mark : int;
       (** [chain_unlinks] snapshot at the last adapt *)
+  mutable jit_validator :
+    (bentry -> Ir.chk array -> Ir.guard array -> bool) option;
+      (** compile-time plan validation hook: when set, {!compile_jit}
+          submits every plan before installing it; a rejected plan is
+          replaced by the all-[Chk_full] no-guard plan (always sound)
+          and counted in [jit_plans_rejected].  Doubles as the plan
+          collector of the offline [cheriot_audit plans] gate. *)
+}
+
+(** The one home of every block-tier counter: translation, chaining and
+    optimizer activity, cumulative since {!create}.  Pure accounting —
+    no counter decides what executes.  {!block_stats} snapshots them. *)
+and counters = {
+  mutable blocks_filled : int;
+  mutable insns_translated : int;  (** sum of fill-time block lengths *)
+  mutable block_aborts : int;
+      (** blocks abandoned mid-execution after one of their own stores
+          invalidated the translation (self-modifying code) *)
+  mutable chain_hits : int;
+      (** transfers that followed a chained link, skipping the probe
+          and ticket re-check *)
+  mutable chain_unlinks : int;  (** stale links observed at traversal *)
+  mutable superblocks_formed : int;
+  mutable side_exits : int;  (** taken interior branches of superblocks *)
   mutable jit_blocks_compiled : int;  (** blocks compiled by the jit tier *)
   mutable checks_eliminated : int;
       (** pass-1 count: accesses whose metadata (or full) checks a
@@ -160,15 +178,8 @@ type t = {
   mutable opt_side_exits : int;
       (** block executions deoptimized to full checks by a failed
           guard *)
-  mutable jit_validator :
-    (bentry -> Ir.chk array -> Ir.guard array -> bool) option;
-      (** compile-time plan validation hook: when set, {!compile_jit}
-          submits every plan before installing it; a rejected plan is
-          replaced by the all-[Chk_full] no-guard plan (always sound)
-          and counted in [jit_plans_rejected].  Doubles as the plan
-          collector of the offline [cheriot_audit plans] gate. *)
   mutable jit_plans_rejected : int;
-      (** plans the installed validator refused *)
+      (** plans the installed [jit_validator] refused *)
 }
 
 and centry = {
@@ -279,23 +290,27 @@ val step_fast : t -> result
 val step_round : t -> dispatch -> result
 (** One recorded round of [dispatch], the entry point of the perf
     harness and the tracer.  Every retired instruction of the round is
-    copied into the [block_events]/[block_pcs] ring ([block_ev_n] live
-    entries) so each one can be charged and rendered individually.  A
-    [Dispatch_ref] / [Dispatch_cached] round is one {!step} /
-    {!step_fast} (an idle WFI step records nothing).  A block-tier
-    round delivers a pending interrupt / WFI wake exactly as {!step},
-    or executes the (cached or freshly translated) block at the PC;
-    [Dispatch_chain] and [Dispatch_jit] keep going across chained
-    edges, up to [round_cap] instructions, marking each transfer
-    ([mark_chained], or [mark_jit] / [mark_opt_side_exit]), and
-    [Dispatch_jit] compiles each block it enters and evaluates its
-    guards.  Interrupts are only checked between rounds: block
-    formation guarantees no instruction inside a block can change the
-    delivery predicate, edge instructions cannot either, and a
-    completed [Jalr] re-checks it before chaining, so this is exactly
-    per-step equivalent.  Execution follows the fully-checked generic
-    path — the recording walk is the observational twin of the fast
-    executor used by {!run}. *)
+    copied into the [block_events]/[block_pcs]/[block_marks] ring
+    ([block_ev_n] live entries) so each one can be charged and rendered
+    individually.  A [Dispatch_ref] / [Dispatch_cached] round is one
+    {!step} / {!step_fast} (an idle WFI step records nothing).  A
+    block-tier round delivers a pending interrupt / WFI wake exactly as
+    {!step}, or runs the same block executor as {!run} from the block
+    at the PC, under [round_cap] fuel: [Dispatch_chain] and
+    [Dispatch_jit] keep going across chained edges and superblock side
+    exits, and [Dispatch_jit] runs each block under its compiled plan.
+    The executor appends each block's executed prefix to the ring when
+    the round leaves the block; the round's last entry is [last_event]
+    itself.  Marks: [mark_chained] ([mark_jit] under [Dispatch_jit]) on
+    the first entry after a linked transfer, [mark_side_exit] on a
+    taken interior branch, and [mark_opt_side_exit] on the first entry
+    of a block whose entry guards failed.  A recorded round ends before
+    any [Csr] that is not its first instruction, so a [Csr] reading
+    [mcycle] sees every earlier instruction charged.  Interrupts are
+    only checked between rounds: block formation guarantees no
+    instruction inside a block can change the delivery predicate, edge
+    instructions cannot either, and a completed [Jalr] re-checks it
+    before chaining, so this is exactly per-step equivalent. *)
 
 val compile_jit : t -> bentry -> jit
 (** Compile (and install) [bentry]'s optimized execution plan: the
@@ -320,7 +335,9 @@ val mark_chained : int
 
 val mark_side_exit : int
 (** [block_marks] value on a taken interior branch that side-exited a
-    superblock. *)
+    superblock.  When the round continues at a translated block at the
+    branch target (a side-exit continue), that block's first entry is
+    unmarked: the continue is a probe, not a linked transfer. *)
 
 val mark_jit : int
 (** [block_marks] value on the first instruction after a chained
@@ -328,14 +345,16 @@ val mark_jit : int
 
 val mark_opt_side_exit : int
 (** [block_marks] value on the first instruction of a jit block
-    execution whose entry guard failed (deoptimized to full checks). *)
+    execution whose entry guard failed (deoptimized to full checks);
+    it replaces a [mark_jit] on the same entry. *)
 
 val run : ?fuel:int -> ?dispatch:dispatch -> t -> result * int
 (** Step until halt/double-fault/waiting or [fuel] (default 10M)
     instructions; returns the final result and instructions retired.
     Traps are not stopping events (the handler runs).  [dispatch]
     selects the execution machinery (default [Dispatch_ref]).  The
-    three block tiers share one fast round executor with two settings:
+    three block tiers share one block executor (the one {!step_round}
+    also runs, without the ring) with two settings:
     [Dispatch_jit] links blocks across chained edges and runs each
     block under its compiled plan; [Dispatch_chain] links but runs
     every access fully checked (no guards, no control-flow folds, no

@@ -11,8 +11,14 @@ type entry = {
   tr_result : Machine.result;
   tr_cycles : int;  (** cumulative, if a perf harness drives the clock *)
   tr_mark : int;
-      (** control-flow mark ([Machine.mark_chained] /
-          [Machine.mark_side_exit]); 0 on non-chained dispatch paths *)
+      (** control-flow mark, 0 = none: [Machine.mark_chained] (or
+          [Machine.mark_jit]) on the first instruction after a linked
+          transfer, [Machine.mark_side_exit] on a taken interior branch
+          of a superblock, [Machine.mark_opt_side_exit] on the first
+          instruction of a jit block whose entry guards failed.  After
+          a side exit that continues the round at a translated block,
+          that block's first instruction is unmarked.  Always 0 on the
+          reference and cached paths. *)
 }
 
 let pp_result fmt = function
@@ -43,9 +49,10 @@ let pp_entry fmt e =
     instruction with a trace entry.  Returns the final result and step
     count.  [dispatch] picks the execution machinery; every path emits
     one entry per instruction of each recorded round (from the
-    machine's retirement ring), so the rendered trace is the same
-    stream on every path — chained transfers and superblock side exits
-    carry a [tr_mark]. *)
+    machine's retirement ring, see [Machine.step_round]; the block
+    tiers run the executor [Machine.run] runs), so the rendered trace
+    is the same stream on every path — chained transfers, superblock
+    side exits and jit deoptimizations carry a [tr_mark]. *)
 let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
   let rec go i =
     if i >= fuel then (Machine.Step_ok, i)

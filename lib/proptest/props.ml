@@ -562,10 +562,10 @@ let scenario_validated_jit_agrees (sc : Scenario.t) =
   Obs.compare_states ~what:"plain/validated jit" scenario_fuel plain validated;
   Obs.require_hashes_equal ~what:"validated jit" scenario_fuel plain
     [ validated ];
-  if validated.Machine.jit_plans_rejected <> 0 then
+  let rejected = validated.Machine.counters.Machine.jit_plans_rejected in
+  if rejected <> 0 then
     QCheck.Test.fail_reportf
-      "validator rejected %d plan(s) the optimizer emitted"
-      validated.Machine.jit_plans_rejected;
+      "validator rejected %d plan(s) the optimizer emitted" rejected;
   true
 
 (* --- Revoker.tick_n ≡ tick loop ------------------------------------------- *)

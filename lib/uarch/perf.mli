@@ -24,8 +24,12 @@ val create : ?revoker:Revoker.t -> ?dispatch:Cheriot_isa.Machine.dispatch ->
   params:Core_model.params -> Cheriot_isa.Machine.t -> t
 (** [dispatch] picks the path that drives the machine (default
     [Dispatch_ref]).  A block-tier round goes through
-    [Cheriot_isa.Machine.step_round], and every retired instruction is
-    charged from its retirement ring.  The block tiers fall back to
+    [Cheriot_isa.Machine.step_round] — the executor [Machine.run] runs,
+    compiled plans included under [Dispatch_jit] — and every retired
+    instruction is charged from its retirement ring once the round
+    ends.  A recorded round ends before any [Csr] that is not its first
+    instruction, so an [mcycle] read sees every earlier instruction
+    charged.  The block tiers fall back to
     per-step cached dispatch whenever interrupts are enabled with the
     timer armed, where a mid-block [mcycle] comparator crossing could
     otherwise be observable.  All five produce identical architectural

@@ -467,9 +467,9 @@ let test_jit_hoisted_guard_patch_midtrace () =
   Alcotest.(check bool) "the patch invalidated the planned block" true
     (s.Machine.block_invalidations > 0)
 
-(* Counter accounting parity: the recording rounds ([step_round], driving
-   the traced/perf paths) and the merged executor ([Machine.run]) must
-   agree that the optimizer engaged — both compile the same plans. *)
+(* Counter accounting parity: recorded rounds ([step_round], driving the
+   traced/perf paths) run the same executor as [Machine.run], so both
+   must show the optimizer engaged — they compile the same plans. *)
 let test_jit_counters_on_both_paths () =
   let mk () =
     let m, _ = boot (List.map Encode.encode chained_loop) in

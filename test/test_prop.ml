@@ -151,12 +151,13 @@ let test_cross_compartment_patch_snoop () =
         (s.Machine.block_invalidations >= 1))
     [ ("block", Machine.Dispatch_block); ("chain", Machine.Dispatch_chain) ]
 
-(* Pinned regression: the {e recording} executors (what [Trace.run]
-   drives) have their own side-exit handling, separate from the fast
-   paths the lockstep properties exercise.  A traced chain run over a
-   superblock-forming scenario must land on the reference state with the
-   reference retired count, and must actually have taken a recorded side
-   exit — without this, a stale-entry bug in the record-mode executor is
+(* Pinned regression: recorded rounds (what [Trace.run] drives) run the
+   same executor as the lockstep properties, but rebuild the retirement
+   ring from its segments, and a side exit ends a segment.  A traced
+   chain run over a superblock-forming scenario must land on the
+   reference state and emit exactly one ring entry per retired
+   instruction, and must actually have taken a side exit — without
+   this, a ring that drops or repeats the entries around a side exit is
    invisible to every other equivalence check. *)
 let test_traced_superblock_matches_reference () =
   let sc =

@@ -234,12 +234,12 @@ let test_core_model_costs () =
 
 (* --- Perf dispatch parity --------------------------------------------- *)
 
-(* The cycle model must be blind to the dispatch machinery: Reference,
-   Cached and Block runs of the same program charge identical cycles
-   and instructions and land in identical machine state.  The program
+(* The cycle model must be blind to the dispatch machinery: runs of the
+   same program on all five tiers charge identical cycles and
+   instructions and land in identical machine state.  The loop program
    mixes the event classes the model prices differently (loads, stores,
    ALU, taken/untaken branches) and ends in a WFI with no interrupt
-   source, covering the block path's idle-round charging too. *)
+   source, covering the block tiers' idle-round charging too. *)
 module Machine = Cheriot_isa.Machine
 module Asm = Cheriot_isa.Asm
 module Insn = Cheriot_isa.Insn
@@ -279,6 +279,29 @@ let parity_program =
     Asm.I Insn.Wfi;
   ]
 
+(* [addi; lw; addi; csrrs t2, mcycle, x0; ebreak]: the [Csr] reads the
+   cycle count that the perf harness has charged so far, so a recorded
+   round that ran it before charging the round's earlier instructions
+   would read a stale [mcycle] and land on a different state. *)
+let mcycle_program =
+  let t0 = Insn.reg_t0 and t1 = Insn.reg_t1 and t2 = Insn.reg_t2 in
+  [
+    Asm.I (Insn.Op_imm (Add, t0, 0, 1));
+    Asm.I (Insn.Load { signed = true; width = W; rd = t1; rs1 = 4; off = 0 });
+    Asm.I (Insn.Op_imm (Add, t0, t0, 1));
+    Asm.I (Insn.Csr (Csrrs, t2, 0, Cheriot_isa.Csr.mcycle));
+    Asm.I Insn.Ebreak;
+  ]
+
+let tiers =
+  Machine.
+    [
+      ("cached", Dispatch_cached);
+      ("block", Dispatch_block);
+      ("chain", Dispatch_chain);
+      ("jit", Dispatch_jit);
+    ]
+
 let perf_run dispatch program setup =
   let m = boot_perf program in
   setup m;
@@ -288,36 +311,55 @@ let perf_run dispatch program setup =
   let r = Perf.run ~fuel:1_000_000 p in
   (r, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m, Machine.block_stats m)
 
-let test_perf_dispatch_parity () =
-  let run d = perf_run d parity_program (fun _ -> ()) in
-  let r_ref, s_ref, cy_ref, h_ref, bs_ref = run Machine.Dispatch_ref in
-  let r_cached, s_cached, cy_cached, h_cached, _ = run Machine.Dispatch_cached in
-  let r_blk, s_blk, cy_blk, h_blk, bs_blk = run Machine.Dispatch_block in
-  Alcotest.(check bool) "all paths reach the WFI" true
-    (r_ref = Machine.Step_waiting
-    && r_cached = Machine.Step_waiting
-    && r_blk = Machine.Step_waiting);
-  Alcotest.(check int) "cycles (cached)" s_ref.Perf.cycles s_cached.Perf.cycles;
-  Alcotest.(check int) "cycles (block)" s_ref.Perf.cycles s_blk.Perf.cycles;
-  Alcotest.(check int) "mcycle (block)" cy_ref cy_blk;
-  Alcotest.(check int) "mcycle (cached)" cy_ref cy_cached;
-  Alcotest.(check int) "instructions (cached)" s_ref.Perf.instructions
-    s_cached.Perf.instructions;
-  Alcotest.(check int) "instructions (block)" s_ref.Perf.instructions
-    s_blk.Perf.instructions;
-  Alcotest.(check int) "mem_busy (block)" s_ref.Perf.mem_busy
-    s_blk.Perf.mem_busy;
-  Alcotest.(check string) "state hash (cached)" h_ref h_cached;
-  Alcotest.(check string) "state hash (block)" h_ref h_blk;
-  (* the harness really drove the block path *)
-  Alcotest.(check bool) "block stats threaded" true
-    (bs_blk.Machine.block_hits > 0 && Machine.avg_block_len bs_blk > 1.0);
+(* Every tier must end like the reference run: same result, cycles,
+   [mcycle], instructions, memory-busy cycles, traps and final state.
+   Returns the reference result and each block tier's block stats. *)
+let check_perf_parity ?(setup = fun _ -> ()) program =
+  let r_ref, s_ref, cy_ref, h_ref, bs_ref =
+    perf_run Machine.Dispatch_ref program setup
+  in
   Alcotest.(check int) "no block activity on reference" 0
-    (bs_ref.Machine.block_hits + bs_ref.Machine.block_misses)
+    (bs_ref.Machine.block_hits + bs_ref.Machine.block_misses);
+  let stats =
+    List.map
+      (fun (name, d) ->
+        let r, s, cy, h, bs = perf_run d program setup in
+        let what f = Printf.sprintf "%s (%s)" f name in
+        Alcotest.(check bool) (what "same result") true (r = r_ref);
+        Alcotest.(check int) (what "cycles") s_ref.Perf.cycles s.Perf.cycles;
+        Alcotest.(check int) (what "mcycle") cy_ref cy;
+        Alcotest.(check int) (what "instructions") s_ref.Perf.instructions
+          s.Perf.instructions;
+        Alcotest.(check int) (what "mem_busy") s_ref.Perf.mem_busy
+          s.Perf.mem_busy;
+        Alcotest.(check int) (what "traps") s_ref.Perf.traps s.Perf.traps;
+        Alcotest.(check string) (what "state hash") h_ref h;
+        (name, bs))
+      tiers
+  in
+  (r_ref, List.remove_assoc "cached" stats)
 
-(* With interrupts enabled and the timer armed, the block path must
+let test_perf_dispatch_parity () =
+  let r, stats = check_perf_parity parity_program in
+  Alcotest.(check bool) "all paths reach the WFI" true
+    (r = Machine.Step_waiting);
+  (* the harness really drove the block tiers *)
+  List.iter
+    (fun (name, bs) ->
+      Alcotest.(check bool) ("block stats threaded " ^ name) true
+        (bs.Machine.block_hits > 0 && Machine.avg_block_len bs > 1.0))
+    stats;
+  let r, stats = check_perf_parity mcycle_program in
+  Alcotest.(check bool) "the mcycle read halts" true (r = Machine.Step_halted);
+  List.iter
+    (fun (name, bs) ->
+      Alcotest.(check bool) ("mcycle program translated " ^ name) true
+        (bs.Machine.blocks_filled > 0))
+    stats
+
+(* With interrupts enabled and the timer armed, the block tiers must
    deliver the timer interrupt at exactly the same cycle as the
-   per-step paths (it falls back to per-step dispatch in that regime —
+   per-step paths (they fall back to per-step dispatch in that regime —
    a mid-block comparator crossing would otherwise be observable). *)
 let test_perf_timer_parity () =
   let isr_base = code_base + 0x200 in
@@ -336,17 +378,8 @@ let test_perf_timer_parity () =
     m.Machine.mtimecmp <- 100;
     m.Machine.mie <- true
   in
-  let run d = perf_run d program setup in
-  let r_ref, s_ref, cy_ref, h_ref, _ = run Machine.Dispatch_ref in
-  let r_blk, s_blk, cy_blk, h_blk, _ = run Machine.Dispatch_block in
-  Alcotest.(check bool) "both halt in the ISR" true
-    (r_ref = Machine.Step_halted && r_blk = Machine.Step_halted);
-  Alcotest.(check int) "interrupt delivered at the same cycle" cy_ref cy_blk;
-  Alcotest.(check int) "same cycle total" s_ref.Perf.cycles s_blk.Perf.cycles;
-  Alcotest.(check int) "same instruction total" s_ref.Perf.instructions
-    s_blk.Perf.instructions;
-  Alcotest.(check int) "same trap count" s_ref.Perf.traps s_blk.Perf.traps;
-  Alcotest.(check string) "same final state" h_ref h_blk
+  Alcotest.(check bool) "every tier halts in the ISR" true
+    (fst (check_perf_parity ~setup program) = Machine.Step_halted)
 
 let suite =
   [

@@ -69,6 +69,46 @@ let test_coremark_deterministic () =
   Alcotest.(check int) "cycles deterministic" a.Coremark.cycles
     b.Coremark.cycles
 
+(* Every Table 3 configuration charges the same cycles on every
+   dispatch tier: the block tiers' retirement ring must price the load
+   filter and capability memory traffic exactly as the per-step
+   reference run does. *)
+let test_coremark_tiers_agree () =
+  let module Machine = Cheriot_isa.Machine in
+  List.iter
+    (fun (core, cheri, load_filter) ->
+      let config = Core_model.config ~cheri ~load_filter core in
+      let run dispatch = Coremark.run ~iterations:2 ~dispatch config in
+      let r0 = run Machine.Dispatch_ref in
+      List.iter
+        (fun (name, dispatch) ->
+          let r = run dispatch in
+          let what f =
+            Printf.sprintf "%s %s (%s)" (Core_model.config_name config) f name
+          in
+          Alcotest.(check int) (what "checksum") r0.Coremark.checksum
+            r.Coremark.checksum;
+          Alcotest.(check int) (what "cycles") r0.Coremark.cycles
+            r.Coremark.cycles;
+          Alcotest.(check int) (what "instructions") r0.Coremark.instructions
+            r.Coremark.instructions)
+        Machine.
+          [
+            ("cached", Dispatch_cached);
+            ("block", Dispatch_block);
+            ("chain", Dispatch_chain);
+            ("jit", Dispatch_jit);
+          ])
+    Core_model.
+      [
+        (Flute, false, false);
+        (Flute, true, false);
+        (Flute, true, true);
+        (Ibex, false, false);
+        (Ibex, true, false);
+        (Ibex, true, true);
+      ]
+
 (* Smaller total so the property tests stay fast; the shapes hold at any
    churn volume. *)
 let ab ?(total = 128 * 1024) core temporal hwm ~size =
@@ -175,4 +215,6 @@ let suite =
     Alcotest.test_case "IoT app ~17.5% CPU" `Quick test_iot_app;
     Alcotest.test_case "IoT app software-revoker variant" `Quick
       test_iot_app_software_revoker_variant;
+    Alcotest.test_case "coremark Table 3 cycles agree on every tier" `Quick
+      test_coremark_tiers_agree;
   ]
