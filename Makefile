@@ -4,9 +4,8 @@
 # test suite (including the differential oracle between the reference,
 # cached, block, chain and jit dispatch paths: random streams, plus the
 # coremark, allocator and packet-processing programs, which must also
-# form superblocks and eliminate checks), the dispatch-parity gate (the
-# differential suite in isolation — it fails printing the qcheck fuzz
-# seed and shrunk program on any state-hash mismatch), the static
+# form superblocks and eliminate checks; it fails printing the qcheck
+# fuzz seed and shrunk program on any state-hash mismatch), the static
 # firmware audit (`cheriot_audit all`: shipped images audit clean, the
 # bad-image corpus is fully detected), the plan-soundness gate
 # (`cheriot_audit plans`: every jit check plan on the shipped images
@@ -16,7 +15,9 @@
 # warm report is byte-identical to a cold audit), and the paper-results
 # gate (`paper-check`: a sample of every perfbench workload reproduces
 # its pinned outputs exactly, and `bench/main.exe`'s whole Table 4 and
-# IoT minute equal their pins).
+# IoT minute equal their pins).  Every check runs once: `make parity`
+# re-runs a subset of `test` and `verify-plans` in isolation, so it is
+# not a prerequisite of `ci`.
 #
 # `bench/main.exe` only regenerates the paper's tables; all timing is
 # perfbench's (perfbench/README.md).  `make bench` runs its four
@@ -62,15 +63,18 @@ audit-incremental: build
 # jit) must be observationally identical on random streams, on generated
 # multi-compartment scenarios (switcher cross-calls, allocator churn,
 # revocation sweeps, code patches), under interrupt injection, and on
-# coremark.  The block-cache and uarch suites hold the recorded rounds
-# the tracer and the perf harness run: trace marks, and cycle parity
-# under the perf harness on all five tiers.  Alcotest prints the
-# failing qcheck seed and the shrunk program listing on a mismatch.
+# coremark.  The block-cache, uarch and integration suites hold the
+# recorded rounds the tracer and the perf harness run: trace marks,
+# cycle parity under the perf harness, and the traced instruction
+# stream, on all five tiers.  Alcotest prints the failing qcheck seed
+# and the shrunk program listing on a mismatch.  Not a prerequisite of
+# `ci`, which runs every command here through `test` and `verify-plans`.
 parity: build
 	dune exec test/test_cheriot.exe -- test differential
 	dune exec test/test_cheriot.exe -- test proptest
 	dune exec test/test_cheriot.exe -- test block-cache
 	dune exec test/test_cheriot.exe -- test uarch
+	dune exec test/test_cheriot.exe -- test integration
 	dune exec bin/cheriot_audit.exe -- plans
 
 # The same property family with 20x the iteration counts (PROP_ITERS
@@ -100,7 +104,7 @@ bench: build
 	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
 	done
 
-ci: build lint test parity audit verify-plans audit-incremental paper-check
+ci: build lint test audit verify-plans audit-incremental paper-check
 
 clean:
 	dune clean

@@ -7,11 +7,11 @@
      corpus           audit the deliberately-bad corpus; each image must
                       yield findings for exactly its expected rule
      all              both of the above (the `make audit` CI gate)
-     plans [NAME]     run each shipped image under the jit tier (or
-                      --dispatch block|chain|jit), statically verify
-                      every compiled check plan sound, then refute the
-                      seeded optimizer mutants (the `make verify-plans`
-                      CI gate); same JSON report shape
+     plans [NAME]     run each shipped image under the jit tier,
+                      statically verify every compiled check plan sound,
+                      then refute the seeded optimizer mutants (the
+                      `make verify-plans` CI gate); same JSON report
+                      shape
      incremental [NAME]  prime the summary cache, patch one compartment
                       and re-audit warm: exits 0 only when the warm
                       report is byte-identical to a from-scratch audit
@@ -74,27 +74,13 @@ let () =
         $ rule_arg)
   in
   let plans =
-    let dispatch_arg =
-      Arg.(
-        value
-        & opt
-            (enum
-               [
-                 ("block", Cheriot_isa.Machine.Dispatch_block);
-                 ("chain", Cheriot_isa.Machine.Dispatch_chain);
-                 ("jit", Cheriot_isa.Machine.Dispatch_jit);
-               ])
-            Cheriot_isa.Machine.Dispatch_jit
-        & info [ "dispatch" ] ~docv:"TIER"
-            ~doc:"Translation tier to collect plans under (default jit).")
-    in
     Cmd.v
       (Cmd.info "plans"
          ~doc:"verify every compiled check plan sound; refute the mutants")
       Term.(
-        const (fun name dispatch rule ->
-            Driver.plans_all ~images:Firmware.shipped ?name ~dispatch ?rule ())
-        $ name_arg $ dispatch_arg $ rule_arg)
+        const (fun name rule ->
+            Driver.plans_all ~images:Firmware.shipped ?name ?rule ())
+        $ name_arg $ rule_arg)
   in
   let incremental =
     Cmd.v

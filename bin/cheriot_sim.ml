@@ -138,19 +138,11 @@ let demo_cmd =
     Arg.(value & flag & info [ "trace" ] ~doc:"print every instruction")
   in
   let dispatch =
-    let d =
-      Arg.enum
-        [
-          ("ref", Cheriot_isa.Machine.Dispatch_ref);
-          ("cached", Cheriot_isa.Machine.Dispatch_cached);
-          ("block", Cheriot_isa.Machine.Dispatch_block);
-          ("chain", Cheriot_isa.Machine.Dispatch_chain);
-          ("jit", Cheriot_isa.Machine.Dispatch_jit);
-        ]
-    in
     Arg.(
       value
-      & opt d Cheriot_isa.Machine.Dispatch_ref
+      & opt
+          (enum Cheriot_isa.Machine.dispatches)
+          Cheriot_isa.Machine.Dispatch_ref
       & info [ "dispatch" ]
           ~doc:
             "execution machinery: ref (re-decode every step), cached \

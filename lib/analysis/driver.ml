@@ -27,19 +27,20 @@ let filter_rule rule fs =
   | None -> fs
   | Some r -> List.filter (fun (f : Rules.finding) -> f.Rules.rule = r) fs
 
+(* The whole catalogue, or only the image [name]. *)
+let select (images : images) name =
+  match name with
+  | None -> Ok images
+  | Some n -> (
+      match List.assoc_opt n images with
+      | Some build -> Ok [ (n, build) ]
+      | None -> Error (Printf.sprintf "unknown image %S" n))
+
 (* [shipped ~images ?name ?rule ()] audits the shipped catalogue (or the
    single image [name]), prints the JSON report, and returns the exit
    code. *)
-let shipped ~(images : images) ?name ?rule () =
-  let selected =
-    match name with
-    | None -> Ok images
-    | Some n -> (
-        match List.assoc_opt n images with
-        | Some build -> Ok [ (n, build) ]
-        | None -> Error (Printf.sprintf "unknown image %S" n))
-  in
-  match (selected, rule) with
+let shipped ~images ?name ?rule () =
+  match (select images name, rule) with
   | Error e, _ ->
       Printf.eprintf "shipped: %s\n%!" e;
       2
@@ -152,21 +153,13 @@ let plan_compartment (t : Loader.t) (p : Planverify.plan) =
   | Some (name, _) -> name
   | None -> "system"
 
-(* [plans ~images ?name ?dispatch ?fuel ?rule ()] boots each shipped
-   image, runs it under [dispatch] (default the jit tier, forced hot so
-   every reachable block compiles), collects every emitted plan and
-   verifies it.  Same report shape and exit-code contract as
-   [shipped]; [rule] filters the report the same way. *)
-let plans ~(images : images) ?name ?dispatch ?fuel ?rule () =
-  let selected =
-    match name with
-    | None -> Ok images
-    | Some n -> (
-        match List.assoc_opt n images with
-        | Some build -> Ok [ (n, build) ]
-        | None -> Error (Printf.sprintf "unknown image %S" n))
-  in
-  match (selected, rule) with
+(* [plans ~images ?name ?rule ()] boots each shipped image, runs it
+   under the jit tier (forced hot so every reachable block compiles),
+   collects every emitted plan and verifies it.  Same report shape and
+   exit-code contract as [shipped]; [rule] filters the report the same
+   way. *)
+let plans ~images ?name ?rule () =
+  match (select images name, rule) with
   | Error e, _ ->
       Printf.eprintf "plans: %s\n%!" e;
       2
@@ -180,7 +173,7 @@ let plans ~(images : images) ?name ?dispatch ?fuel ?rule () =
         let m = t.Loader.machine in
         m.Machine.hot_threshold <- 2;
         m.Machine.hot_adaptive <- false;
-        let ps = Planverify.collect ?dispatch ?fuel m in
+        let ps = Planverify.collect m in
         verified := !verified + List.length ps;
         let findings =
           List.filter_map
@@ -252,8 +245,8 @@ let plan_mutants () =
       2
 
 (* [plans_all]: shipped plans + mutants; the worst exit code wins. *)
-let plans_all ~images ?name ?dispatch ?fuel ?rule () =
-  let a = plans ~images ?name ?dispatch ?fuel ?rule () in
+let plans_all ~images ?name ?rule () =
+  let a = plans ~images ?name ?rule () in
   let b = plan_mutants () in
   max a b
 
@@ -296,16 +289,8 @@ let patch_first_opimm (t : Loader.t) =
    demand (a) the two sorted reports are byte-identical and (b) the
    cache was reused for exactly the untouched compartments.  Exit 0
    only when both hold for every image. *)
-let incremental ~(images : images) ?name () =
-  let selected =
-    match name with
-    | None -> Ok images
-    | Some n -> (
-        match List.assoc_opt n images with
-        | Some build -> Ok [ (n, build) ]
-        | None -> Error (Printf.sprintf "unknown image %S" n))
-  in
-  match selected with
+let incremental ~images ?name () =
+  match select images name with
   | Error e ->
       Printf.eprintf "incremental: %s\n%!" e;
       2

@@ -383,16 +383,17 @@ let dedupe plans =
       end)
     plans
 
-(* [collect ?dispatch ?fuel m] runs [m] under [dispatch] and returns
-   every plan compiled along the way, deduplicated, in compile order.
-   Collection uses the validator hook — the one point every plan passes
-   through at compile time — rather than a cache sweep, because the
-   direct-mapped block cache evicts: a block compiled early and evicted
-   late would be invisible to a post-run sweep.  Under a non-jit
-   dispatch no plan is compiled during the run, so a final sweep
-   force-compiles every block still in the translation cache. *)
-let collect ?(dispatch = Machine.Dispatch_jit) ?(fuel = 2_000_000)
-    (m : Machine.t) =
+(* [collect ?fuel m] runs [m] under the jit tier and returns every plan
+   compiled along the way, deduplicated, in compile order.  Collection
+   uses the validator hook — the one point every plan passes through at
+   compile time — rather than a cache sweep, because the direct-mapped
+   block cache evicts: a block compiled early and evicted late would be
+   invisible to a post-run sweep.  The jit tier compiles a block when it
+   first enters it, so a final sweep still force-compiles what the run
+   left uncompiled in the translation cache: a superblock installed over
+   a block that is not re-entered before the run ends.  On the shipped
+   images the sweep adds no plan. *)
+let collect ?(fuel = 2_000_000) (m : Machine.t) =
   let acc = ref [] in
   let saved = m.Machine.jit_validator in
   m.Machine.jit_validator <-
@@ -400,7 +401,7 @@ let collect ?(dispatch = Machine.Dispatch_jit) ?(fuel = 2_000_000)
       (fun b chks guards ->
         acc := { p_block = b; p_chks = chks; p_guards = guards } :: !acc;
         true);
-  ignore (Machine.run ~fuel ~dispatch m);
+  ignore (Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m);
   let bc = m.Machine.bcache in
   Array.iteri
     (fun k hi ->

@@ -132,6 +132,3 @@ let otype_space = { e_field = 0; b_field = 0; t_field = 8 }
 
 let equal a b =
   a.e_field = b.e_field && a.b_field = b.b_field && a.t_field = b.t_field
-
-let pp fmt b =
-  Format.fprintf fmt "E=%d B=0x%x T=0x%x" b.e_field b.b_field b.t_field

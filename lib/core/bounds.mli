@@ -89,4 +89,3 @@ val otype_space : t
     sealing root. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

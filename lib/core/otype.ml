@@ -49,5 +49,3 @@ let sentry_of_otype = function
 let return_sentry ~interrupts_enabled =
   if interrupts_enabled then Sentry_ret_enable else Sentry_ret_disable
 
-let first_sw_exec = 6
-let first_sw_data = 1

@@ -52,9 +52,3 @@ val return_sentry : interrupts_enabled:bool -> sentry
 (** The return sentry that restores the given posture — what a
     jump-and-link writes to the link register (3.1.2). *)
 
-(** First executable otype value available to software (two are free). *)
-val first_sw_exec : int
-
-(** First data otype value; all seven are free for software, of which the
-    RTOS allocates four for core components. *)
-val first_sw_data : int

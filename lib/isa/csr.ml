@@ -26,15 +26,3 @@ let mtimecmp = 0x7D0
 (* mstatus bits *)
 let mstatus_mie_bit = 3
 let mstatus_mpie_bit = 7
-
-let name n =
-  if n = mstatus then "mstatus"
-  else if n = mcause then "mcause"
-  else if n = mtval then "mtval"
-  else if n = mcycle then "mcycle"
-  else if n = minstret then "minstret"
-  else if n = mcycleh then "mcycleh"
-  else if n = mshwm then "mshwm"
-  else if n = mshwmb then "mshwmb"
-  else if n = mtimecmp then "mtimecmp"
-  else Printf.sprintf "csr_0x%x" n

@@ -13,6 +13,10 @@ type dispatch =
   | Dispatch_chain
   | Dispatch_jit
 
+let dispatches =
+  [ ("ref", Dispatch_ref); ("cached", Dispatch_cached); ("block", Dispatch_block);
+    ("chain", Dispatch_chain); ("jit", Dispatch_jit) ]
+
 type cheri_cause =
   | Cheri_bounds
   | Cheri_tag
@@ -93,9 +97,6 @@ type event = {
      instead of allocating a fresh one every instruction *)
   mutable ev_insn : Insn.t option;
   mutable ev_taken_branch : bool;
-  mutable ev_mem_bytes : int;
-  mutable ev_is_cap_mem : bool;
-  mutable ev_is_store : bool;
   mutable ev_trap : cause option;
 }
 
@@ -103,9 +104,6 @@ let no_event =
   {
     ev_insn = None;
     ev_taken_branch = false;
-    ev_mem_bytes = 0;
-    ev_is_cap_mem = false;
-    ev_is_store = false;
     ev_trap = None;
   }
 
@@ -458,8 +456,8 @@ let note_store m addr =
    (already permission/alignment/range-checked) address fits, goes
    straight to the byte array: no bus list walk, no option, no
    exception-handler setup.  Observationally identical to [Bus.read]/
-   [Bus.write] — the access counter still advances and SRAM stores
-   still fire the snoops — and shared by every dispatch path. *)
+   [Bus.write] — SRAM stores still fire the snoops — and shared by every
+   dispatch path. *)
 
 let refresh_window m ~size addr =
   match Bus.sram_at m.bus ~size addr with
@@ -472,7 +470,6 @@ let refresh_window m ~size addr =
 
 let data_read_slow m ~size addr =
   if refresh_window m ~size addr then begin
-    Bus.note_access m.bus;
     match size with
     | 1 -> Sram.read8_u m.fm_sram addr
     | 2 -> Sram.read16_u m.fm_sram addr
@@ -484,7 +481,6 @@ let data_read_slow m ~size addr =
 
 let[@inline] data_read m ~size addr =
   if addr >= m.fm_base && addr + size <= m.fm_limit then begin
-    Bus.note_access m.bus;
     match size with
     | 1 -> Sram.read8_u m.fm_sram addr
     | 2 -> Sram.read16_u m.fm_sram addr
@@ -494,7 +490,6 @@ let[@inline] data_read m ~size addr =
 
 let data_write_slow m ~size addr v =
   if refresh_window m ~size addr then begin
-    Bus.note_access m.bus;
     (match size with
     | 1 -> Sram.write8_u m.fm_sram addr v
     | 2 -> Sram.write16_u m.fm_sram addr v
@@ -507,7 +502,6 @@ let data_write_slow m ~size addr v =
 
 let[@inline] data_write m ~size addr v =
   if addr >= m.fm_base && addr + size <= m.fm_limit then begin
-    Bus.note_access m.bus;
     (match size with
     | 1 -> Sram.write8_u m.fm_sram addr v
     | 2 -> Sram.write16_u m.fm_sram addr v
@@ -1065,9 +1059,6 @@ let advance_finish m nextc opt =
   let ev = m.last_event in
   ev.ev_insn <- opt;
   ev.ev_taken_branch <- false;
-  ev.ev_mem_bytes <- 0;
-  ev.ev_is_cap_mem <- false;
-  ev.ev_is_store <- false;
   ev.ev_trap <- None;
   Step_ok
 
@@ -1115,15 +1106,11 @@ let fetch_cached m =
     fetch_cached_slow m dc s pc
   end
 
-let finish m ?(taken = false) ?(mem = 0) ?(cap_mem = false) ?(store = false)
-    opt =
+let finish m ?(taken = false) opt =
   m.minstret <- m.minstret + 1;
   let ev = m.last_event in
   ev.ev_insn <- opt;
   ev.ev_taken_branch <- taken;
-  ev.ev_mem_bytes <- mem;
-  ev.ev_is_cap_mem <- cap_mem;
-  ev.ev_is_store <- store;
   ev.ev_trap <- None;
   Step_ok
 
@@ -1164,20 +1151,16 @@ let exec m insn opt nextc =
       finish m ~taken opt
   | Load { signed; width; rd; rs1; off } ->
       exec_load m Ir.Chk_full ~rs1 ~off ~width ~signed ~rd;
-      advance m nextc;
-      finish m ~mem:(width_bytes width) opt
+      advance_finish m nextc opt
   | Store { width; rs2; rs1; off } ->
       exec_store m Ir.Chk_full ~rs1 ~off ~width ~rs2;
-      advance m nextc;
-      finish m ~mem:(width_bytes width) ~store:true opt
+      advance_finish m nextc opt
   | Clc (rd, rs1, off) ->
       exec_clc m Ir.Chk_full ~rd ~rs1 ~off;
-      advance m nextc;
-      finish m ~mem:8 ~cap_mem:true opt
+      advance_finish m nextc opt
   | Csc (rs2, rs1, off) ->
       exec_csc m Ir.Chk_full ~rs2 ~rs1 ~off;
-      advance m nextc;
-      finish m ~mem:8 ~cap_mem:true ~store:true opt
+      advance_finish m nextc opt
   | Op_imm (op, rd, rs1, imm) ->
       set_reg_int m rd (alu_exec op (reg_int m rs1) (imm land mask32));
       advance_finish m nextc opt
@@ -1288,7 +1271,6 @@ let decode_at m pcc pc =
       match Bus.sram_at m.bus ~size:4 pc with
       | None -> None
       | Some s -> (
-          Bus.note_access m.bus;
           match Encode.decode (Sram.read32 s pc) with
           | None -> None (* illegal words are never cached *)
           | Some i -> Some i))
@@ -1435,38 +1417,9 @@ let mark_side_exit = 2
 let mark_jit = 3
 let mark_opt_side_exit = 4
 
-(* The memory fields of the event a retired, non-trapping instruction
-   leaves: a function of its class alone, field-for-field what
-   [finish] writes. *)
-let set_mem_fields ev (i : Insn.t) =
-  match i with
-  | Insn.Load { width; _ } ->
-      ev.ev_mem_bytes <- width_bytes width;
-      ev.ev_is_cap_mem <- false;
-      ev.ev_is_store <- false
-  | Insn.Store { width; _ } ->
-      ev.ev_mem_bytes <- width_bytes width;
-      ev.ev_is_cap_mem <- false;
-      ev.ev_is_store <- true
-  | Insn.Clc _ ->
-      ev.ev_mem_bytes <- 8;
-      ev.ev_is_cap_mem <- true;
-      ev.ev_is_store <- false
-  | Insn.Csc _ ->
-      ev.ev_mem_bytes <- 8;
-      ev.ev_is_cap_mem <- true;
-      ev.ev_is_store <- true
-  | _ ->
-      ev.ev_mem_bytes <- 0;
-      ev.ev_is_cap_mem <- false;
-      ev.ev_is_store <- false
-
 let copy_event src dst =
   dst.ev_insn <- src.ev_insn;
   dst.ev_taken_branch <- src.ev_taken_branch;
-  dst.ev_mem_bytes <- src.ev_mem_bytes;
-  dst.ev_is_cap_mem <- src.ev_is_cap_mem;
-  dst.ev_is_store <- src.ev_is_store;
   dst.ev_trap <- src.ev_trap
 
 (* Append an entry at [pc] to the ring and return its event, for the
@@ -1491,7 +1444,6 @@ let record_segment m (b : bentry) len ~taken ~mark =
   for k = 0 to len - 1 do
     let ev = ring_push m (b.b_start + (4 * k)) (if k = 0 then mark else 0) in
     ev.ev_insn <- Array.unsafe_get b.b_opts k;
-    set_mem_fields ev (Array.unsafe_get b.b_insns k);
     ev.ev_taken_branch <- taken && k = len - 1;
     ev.ev_trap <- None
   done;
@@ -1849,7 +1801,6 @@ let exec_fast m (b0 : bentry) ~fuel ~links ~plan ~record =
      deferred one) *)
   let end_event blk k taken =
     let ev = m.last_event in
-    set_mem_fields ev (Array.unsafe_get blk.b_insns k);
     ev.ev_insn <- Array.unsafe_get blk.b_opts k;
     ev.ev_taken_branch <- taken;
     ev.ev_trap <- None

@@ -34,6 +34,10 @@ type dispatch =
   | Dispatch_chain
   | Dispatch_jit
 
+val dispatches : (string * dispatch) list
+(** Every tier with its command-line name, [Dispatch_ref] first: the
+    reference the other four are checked against. *)
+
 (** CHERI exception causes (reported via [mcause = 28] with the cause and
     the faulting register index in [mtval], as in CHERI RISC-V). *)
 type cheri_cause =
@@ -65,15 +69,14 @@ val mcause_of : cause -> int
 (** The value written to [mcause] (interrupt bit in bit 31). *)
 
 (** What [step] observed — consumed by the micro-architectural cycle
-    models, which charge cycles per event.  The fields are mutable
-    because the machine reuses one record across steps on the hot path:
-    read [last_event] before stepping again, don't retain it. *)
+    models, which charge cycles per event from exactly these three
+    fields (data-bus traffic follows from the instruction's class and
+    width).  The fields are mutable because the machine reuses one
+    record across steps on the hot path: read [last_event] before
+    stepping again, don't retain it. *)
 type event = {
   mutable ev_insn : Insn.t option;  (** None when no instruction retired *)
   mutable ev_taken_branch : bool;
-  mutable ev_mem_bytes : int;  (** data bytes moved, 0 if none *)
-  mutable ev_is_cap_mem : bool;
-  mutable ev_is_store : bool;
   mutable ev_trap : cause option;
 }
 

@@ -5,7 +5,6 @@ type t = {
   mutable devices : Mmio.device list;
   mutable revbits : Revbits.t option;
   mutable store_snoops : (int -> unit) list;
-  mutable accesses : int;
   mutable mru_sram : Sram.t option;
       (* most-recently-hit SRAM: accesses cluster heavily, so this skips
          the list walk on nearly every read/write *)
@@ -17,7 +16,6 @@ let create () =
     devices = [];
     revbits = None;
     store_snoops = [];
-    accesses = 0;
     mru_sram = None;
   }
 
@@ -53,10 +51,7 @@ let device_at t addr =
    device writes must not fire them. *)
 let snoop_store t addr = List.iter (fun f -> f (addr land lnot 7)) t.store_snoops
 
-let note_access t = t.accesses <- t.accesses + 1
-
 let read t ~width addr =
-  t.accesses <- t.accesses + 1;
   match sram_at t ~size:width addr with
   | Some s -> (
       match width with
@@ -70,7 +65,6 @@ let read t ~width addr =
       | Some _ | None -> raise (Bus_error addr))
 
 let write t ~width addr v =
-  t.accesses <- t.accesses + 1;
   match sram_at t ~size:width addr with
   | Some s ->
       (match width with
@@ -85,17 +79,14 @@ let write t ~width addr v =
       | Some _ | None -> raise (Bus_error addr))
 
 let read_cap t addr =
-  t.accesses <- t.accesses + 1;
   match sram_at t ~size:8 addr with
   | Some s -> Sram.read_cap s addr
   | None -> raise (Bus_error addr)
 
 let write_cap t addr v =
-  t.accesses <- t.accesses + 1;
   (match sram_at t ~size:8 addr with
   | Some s -> Sram.write_cap s addr v
   | None -> raise (Bus_error addr));
   snoop_store t addr
 
 let on_store t f = t.store_snoops <- f :: t.store_snoops
-let data_accesses t = t.accesses

@@ -48,19 +48,9 @@ val on_store : t -> (int -> unit) -> unit
     The machine resolves an SRAM once ({!sram_at}), keeps the region's
     bounds in mutable fields, and performs subsequent in-window accesses
     directly on the SRAM — no list walk, no option, no allocation.  The
-    two hooks below keep that path observationally identical to
-    {!read}/{!write}: the access counter still advances and SRAM stores
-    still snoop. *)
-
-val note_access : t -> unit
-(** Count one data-side access made outside {!read}/{!write}. *)
+    hook below keeps that path observationally identical to
+    {!read}/{!write}: SRAM stores still snoop. *)
 
 val snoop_store : t -> int -> unit
 (** Fire the store snoops for an SRAM store performed outside
     {!write}/{!write_cap} (granule-aligns the address itself). *)
-
-(** {1 Accounting} *)
-
-val data_accesses : t -> int
-(** Total data-side accesses since creation (bus beats are accounted by
-    the core model, which knows its bus width). *)

@@ -13,12 +13,3 @@ let ram_backed ~name ~base ~size =
   in
   let write32 off v = Bytes.set_int32_le backing off (Int32.of_int v) in
   ({ name; dev_base = base; dev_size = size; read32; write32 }, backing)
-
-let const ~name ~base ~size v =
-  {
-    name;
-    dev_base = base;
-    dev_size = size;
-    read32 = (fun _ -> v);
-    write32 = (fun _ _ -> ());
-  }

@@ -15,6 +15,3 @@ type device = {
 val ram_backed : name:string -> base:int -> size:int -> device * Bytes.t
 (** A device that behaves like plain word-addressed RAM — used for the
     memory-mapped revocation-bit window visible to the allocator. *)
-
-val const : name:string -> base:int -> size:int -> int -> device
-(** A read-only device returning a constant (writes ignored). *)

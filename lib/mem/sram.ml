@@ -116,11 +116,6 @@ let read_microtags t addr =
   let g = granule t (addr land lnot 7) in
   (microtag_get t (2 * g), microtag_get t ((2 * g) + 1))
 
-let clear_tag_at t addr =
-  let g = granule t (addr land lnot 7) in
-  microtag_set t (2 * g) false;
-  microtag_set t ((2 * g) + 1) false
-
 let tag_at t addr =
   let lo, hi = read_microtags t addr in
   lo && hi

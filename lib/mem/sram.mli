@@ -65,11 +65,6 @@ val read_microtags : t -> int -> bool * bool
     the hardware revoker uses the low half's bit to skip the second bus
     beat (paper 7.2.2). *)
 
-val clear_tag_at : t -> int -> unit
-(** Clear both micro-tags of the granule containing the address (the
-    revoker's single-write invalidation touches memory too; this is the
-    tag-only part used by tests). *)
-
 val tag_at : t -> int -> bool
 (** Architectural tag of the granule containing the address. *)
 

@@ -7,8 +7,8 @@
     registers, CSRs, interrupt/wait state, and the retired-event record
     the cycle models consume.  Memory divergence is caught by
     {!Machine.state_hash} (which also covers tag bits); per step it
-    could only arise via a store, which the event compare pins to the
-    same step. *)
+    could only arise via a store, which the compared [ev_insn] pins to
+    the same step. *)
 
 open Cheriot_core
 open Cheriot_isa
@@ -24,9 +24,6 @@ let cap_eq a b =
 let event_eq (a : Machine.event) (b : Machine.event) =
   a.ev_insn = b.ev_insn
   && a.ev_taken_branch = b.ev_taken_branch
-  && a.ev_mem_bytes = b.ev_mem_bytes
-  && a.ev_is_cap_mem = b.ev_is_cap_mem
-  && a.ev_is_store = b.ev_is_store
   && a.ev_trap = b.ev_trap
 
 (** [compare_states ~what step (ref_m, other)] fails (via

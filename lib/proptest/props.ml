@@ -49,67 +49,85 @@ let lcg seed =
     state := ((!state * 1103515245) + 12345) land 0x3FFF_FFFF;
     !state mod bound
 
-(* --- flat-stream lockstep (the PR-1..3 oracle, now harness-owned) -------- *)
+(* --- flat-stream lockstep ------------------------------------------------ *)
+
+(* A tiny hotness threshold makes superblock formation reachable within
+   short streams (adaptation off so it stays pinned); only the chain and
+   jit tiers consult it. *)
+let pin_hot (m : Machine.t) =
+  m.Machine.hot_threshold <- 2;
+  m.Machine.hot_adaptive <- false
+
+(* One machine per entry of [Machine.dispatches], reference first. *)
+let tier_machines mk =
+  List.map
+    (fun (name, d) ->
+      let m = mk () in
+      pin_hot m;
+      (name, d, m))
+    Machine.dispatches
+
+(* Run [fuel] on every tier's machine and require each to end the batch
+   like the reference, the head of [tiers]: same result, same retired
+   count, same architectural state.  [at] is the reference's retired
+   count before the batch.  Returns the reference's [(result, retired)]. *)
+let lockstep_batch ~what ~at ~fuel tiers =
+  match tiers with
+  | [] -> invalid_arg "lockstep_batch"
+  | (_, d_ref, ref_m) :: others ->
+      let r_ref, n_ref = Machine.run ~fuel ~dispatch:d_ref ref_m in
+      List.iter
+        (fun (name, d, m) ->
+          let r, n = Machine.run ~fuel ~dispatch:d m in
+          if (r, n) <> (r_ref, n_ref) then
+            QCheck.Test.fail_reportf
+              "%s ref/%s diverged after %d insns (fuel %d): ref retired %d, \
+               %s retired %d"
+              what name at fuel n_ref name n;
+          Obs.compare_states ~what:(Printf.sprintf "%s ref/%s" what name) at
+            ref_m m)
+        others;
+      (r_ref, n_ref)
+
+let require_tier_hashes ~what at tiers =
+  match List.map (fun (_, _, m) -> m) tiers with
+  | ref_m :: others -> Obs.require_hashes_equal ~what at ref_m others
+  | [] -> ()
 
 (** Drive the same stream on five identically-booted machines in
-    lockstep — one per dispatch path, block/chain/jit with [fuel:1] so
-    every mid-block state is exposed — comparing the full architectural
+    lockstep — one per dispatch path, each with [fuel:1] so every
+    mid-block state is exposed — comparing the full architectural
     state after every single step and the state hashes at the end. *)
 let flat_lockstep ?(writable_code = false) words =
-  let mk () = (Boot.flat ~writable_code words).Boot.m in
-  let ref_m = mk () and fast_m = mk () and blk_m = mk () and chn_m = mk () in
-  let jit_m = mk () in
-  (* a tiny hotness threshold makes superblock formation reachable
-     within short fuzz streams (adaptation off so it stays pinned) *)
-  chn_m.Machine.hot_threshold <- 2;
-  chn_m.Machine.hot_adaptive <- false;
-  jit_m.Machine.hot_threshold <- 2;
-  jit_m.Machine.hot_adaptive <- false;
+  let tiers = tier_machines (fun () -> (Boot.flat ~writable_code words).Boot.m) in
   let rec go n =
-    if n > 256 then ()
-    else begin
-      let r_ref = Machine.step ref_m in
-      let r_fast = Machine.step_fast fast_m in
-      (* [run ~fuel:1] executes exactly one instruction (or interrupt /
-         idle round) of the block path; when fuel expires after a trap
-         step it reports [Step_ok], exactly as the per-step [run] loop
-         would, so map the reference result accordingly. *)
-      let r_blk, n_blk =
-        Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_block blk_m
-      in
-      let r_chn, n_chn =
-        Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_chain chn_m
-      in
-      let r_jit, n_jit =
-        Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_jit jit_m
-      in
-      if r_ref <> r_fast then
-        QCheck.Test.fail_reportf "ref/cached results diverged at step %d" n;
-      let expect_blk =
-        match r_ref with
-        | Machine.Step_ok | Machine.Step_trap _ -> Machine.Step_ok
-        | r -> r
-      in
-      if (r_blk, n_blk) <> (expect_blk, 1) then
-        QCheck.Test.fail_reportf "ref/block results diverged at step %d" n;
-      if (r_chn, n_chn) <> (expect_blk, 1) then
-        QCheck.Test.fail_reportf "ref/chain results diverged at step %d" n;
-      if (r_jit, n_jit) <> (expect_blk, 1) then
-        QCheck.Test.fail_reportf "ref/jit results diverged at step %d" n;
-      Obs.compare_states ~what:"ref/cached" n ref_m fast_m;
-      Obs.compare_states ~what:"ref/block" n ref_m blk_m;
-      Obs.compare_states ~what:"ref/chain" n ref_m chn_m;
-      Obs.compare_states ~what:"ref/jit" n ref_m jit_m;
-      match r_ref with
-      | Machine.Step_ok | Machine.Step_trap _ -> go (n + 1)
-      | Machine.Step_waiting | Machine.Step_halted | Machine.Step_double_fault
-        ->
-          ()
-    end
+    if n <= 256 then
+      match lockstep_batch ~what:"flat" ~at:n ~fuel:1 tiers with
+      | Machine.Step_ok, _ -> go (n + 1)
+      | _ -> ()
   in
   go 0;
-  Obs.require_hashes_equal ~what:"flat lockstep" 256 ref_m
-    [ fast_m; blk_m; chn_m; jit_m ];
+  require_tier_hashes ~what:"flat lockstep" 256 tiers;
+  true
+
+(* Batches until the reference has retired [limit] instructions (or run
+   [max_batches] batches), halts or double-faults.  [batch ()] applies
+   the batch's injections to every machine and returns its fuel; the
+   state hashes are compared after every batch. *)
+let batch_lockstep ~what ~limit ~max_batches ~batch tiers =
+  let total = ref 0 and batches = ref 0 in
+  (try
+     while !total < limit && !batches < max_batches do
+       incr batches;
+       let fuel = batch () in
+       let r_ref, n_ref = lockstep_batch ~what ~at:!total ~fuel tiers in
+       require_tier_hashes ~what !total tiers;
+       total := !total + n_ref;
+       match r_ref with
+       | Machine.Step_halted | Machine.Step_double_fault -> raise Exit
+       | _ -> ()
+     done
+   with Exit -> ());
   true
 
 (** Interrupt-injection equivalence (the heart of the block-dispatch
@@ -118,7 +136,10 @@ let flat_lockstep ?(writable_code = false) words =
     timer comparator / cycle counter identically on all five between
     batches.  Batched block execution checks for interrupts only at
     block boundaries; that must deliver every interrupt at exactly the
-    same retired-instruction boundary as the per-step loops. *)
+    same retired-instruction boundary as the per-step loops.  The tiny
+    hot threshold makes batches cross the superblock formation point
+    mid-stream, so interrupt delivery is checked against freshly
+    re-translated superblocks too. *)
 let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
   let handler_cap =
     Capability.set_bounds
@@ -133,78 +154,25 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
     m.Machine.mie <- true;
     m
   in
-  let ref_m = mk () and fast_m = mk () and blk_m = mk () and chn_m = mk () in
-  let jit_m = mk () in
-  (* chain/jit with a tiny hotness threshold: batches cross the
-     superblock formation point mid-stream, so interrupt delivery is
-     checked against freshly re-translated superblocks too *)
-  chn_m.Machine.hot_threshold <- 2;
-  chn_m.Machine.hot_adaptive <- false;
-  jit_m.Machine.hot_threshold <- 2;
-  jit_m.Machine.hot_adaptive <- false;
-  let machines = [ ref_m; fast_m; blk_m; chn_m; jit_m ] in
+  let tiers = tier_machines mk in
   let rand = lcg seed in
-  let total = ref 0 in
-  (try
-     while !total < 256 do
-       let fuel = 1 + rand 32 in
-       let toggle = rand 4 = 0 in
-       let retime = rand 4 = 0 in
-       let cmp = rand 8 and cyc = rand 8 in
-       List.iter
-         (fun (m : Machine.t) ->
-           if toggle then m.Machine.ext_interrupt <- not m.Machine.ext_interrupt;
-           if retime then begin
-             m.Machine.mtimecmp <- cmp;
-             m.Machine.mcycle <- cyc
-           end)
-         machines;
-       let r_ref, n_ref =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
-       in
-       let r_fast, n_fast =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_cached fast_m
-       in
-       let r_blk, n_blk =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_block blk_m
-       in
-       let r_chn, n_chn =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_chain chn_m
-       in
-       let r_jit, n_jit =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_jit jit_m
-       in
-       if (r_ref, n_ref) <> (r_fast, n_fast) then
-         QCheck.Test.fail_reportf
-           "ref/cached batch diverged after %d insns (fuel %d)" !total fuel;
-       if (r_ref, n_ref) <> (r_blk, n_blk) then
-         QCheck.Test.fail_reportf
-           "ref/block batch diverged after %d insns (fuel %d): ref retired \
-            %d, block retired %d"
-           !total fuel n_ref n_blk;
-       if (r_ref, n_ref) <> (r_chn, n_chn) then
-         QCheck.Test.fail_reportf
-           "ref/chain batch diverged after %d insns (fuel %d): ref retired \
-            %d, chain retired %d"
-           !total fuel n_ref n_chn;
-       if (r_ref, n_ref) <> (r_jit, n_jit) then
-         QCheck.Test.fail_reportf
-           "ref/jit batch diverged after %d insns (fuel %d): ref retired \
-            %d, jit retired %d"
-           !total fuel n_ref n_jit;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m fast_m;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m blk_m;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m chn_m;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m jit_m;
-       Obs.require_hashes_equal ~what:"interrupt batch" !total ref_m
-         [ fast_m; blk_m; chn_m; jit_m ];
-       total := !total + n_ref;
-       match r_ref with
-       | Machine.Step_halted | Machine.Step_double_fault -> raise Exit
-       | _ -> ()
-     done
-   with Exit -> ());
-  true
+  let batch () =
+    let fuel = 1 + rand 32 in
+    let toggle = rand 4 = 0 in
+    let retime = rand 4 = 0 in
+    let cmp = rand 8 and cyc = rand 8 in
+    List.iter
+      (fun (_, _, (m : Machine.t)) ->
+        if toggle then m.Machine.ext_interrupt <- not m.Machine.ext_interrupt;
+        if retime then begin
+          m.Machine.mtimecmp <- cmp;
+          m.Machine.mcycle <- cyc
+        end)
+      tiers;
+    fuel
+  in
+  batch_lockstep ~what:"interrupt batch" ~limit:256 ~max_batches:max_int ~batch
+    tiers
 
 (* --- flat authority monotonicity ----------------------------------------- *)
 
@@ -312,74 +280,24 @@ let inject rand (links : Scenario.linked list) =
     revocation sweeps and code patches, with the chain and jit machines
     forming superblocks at [hot_threshold = 2]. *)
 let scenario_lockstep (sc : Scenario.t) =
-  let mk () = Scenario.link ~instrument:true sc in
-  let l_ref = mk () and l_fast = mk () and l_blk = mk () and l_chn = mk () in
-  let l_jit = mk () in
-  let links = [ l_ref; l_fast; l_blk; l_chn; l_jit ] in
-  let m_of l = l.Scenario.t.Loader.machine in
-  let ref_m = m_of l_ref
-  and fast_m = m_of l_fast
-  and blk_m = m_of l_blk
-  and chn_m = m_of l_chn
-  and jit_m = m_of l_jit in
-  chn_m.Machine.hot_threshold <- 2;
-  chn_m.Machine.hot_adaptive <- false;
-  jit_m.Machine.hot_threshold <- 2;
-  jit_m.Machine.hot_adaptive <- false;
+  let links =
+    List.map (fun _ -> Scenario.link ~instrument:true sc) Machine.dispatches
+  in
+  let tiers =
+    List.map2
+      (fun (name, d) l ->
+        let m = l.Scenario.t.Loader.machine in
+        pin_hot m;
+        (name, d, m))
+      Machine.dispatches links
+  in
   let rand = lcg sc.Scenario.seed in
-  let total = ref 0 in
-  let batches = ref 0 in
-  (try
-     while !total < scenario_fuel && !batches < scenario_batches do
-       incr batches;
-       inject rand links;
-       let fuel = 1 + rand 64 in
-       let r_ref, n_ref =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
-       in
-       let r_fast, n_fast =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_cached fast_m
-       in
-       let r_blk, n_blk =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_block blk_m
-       in
-       let r_chn, n_chn =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_chain chn_m
-       in
-       let r_jit, n_jit =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_jit jit_m
-       in
-       if (r_ref, n_ref) <> (r_fast, n_fast) then
-         QCheck.Test.fail_reportf
-           "scenario ref/cached diverged after %d insns (fuel %d)" !total fuel;
-       if (r_ref, n_ref) <> (r_blk, n_blk) then
-         QCheck.Test.fail_reportf
-           "scenario ref/block diverged after %d insns (fuel %d): ref %d, \
-            block %d"
-           !total fuel n_ref n_blk;
-       if (r_ref, n_ref) <> (r_chn, n_chn) then
-         QCheck.Test.fail_reportf
-           "scenario ref/chain diverged after %d insns (fuel %d): ref %d, \
-            chain %d"
-           !total fuel n_ref n_chn;
-       if (r_ref, n_ref) <> (r_jit, n_jit) then
-         QCheck.Test.fail_reportf
-           "scenario ref/jit diverged after %d insns (fuel %d): ref %d, \
-            jit %d"
-           !total fuel n_ref n_jit;
-       Obs.compare_states ~what:"scenario ref/cached" !total ref_m fast_m;
-       Obs.compare_states ~what:"scenario ref/block" !total ref_m blk_m;
-       Obs.compare_states ~what:"scenario ref/chain" !total ref_m chn_m;
-       Obs.compare_states ~what:"scenario ref/jit" !total ref_m jit_m;
-       Obs.require_hashes_equal ~what:"scenario batch" !total ref_m
-         [ fast_m; blk_m; chn_m; jit_m ];
-       total := !total + n_ref;
-       match r_ref with
-       | Machine.Step_halted | Machine.Step_double_fault -> raise Exit
-       | _ -> ()
-     done
-   with Exit -> ());
-  true
+  let batch () =
+    inject rand links;
+    1 + rand 64
+  in
+  batch_lockstep ~what:"scenario" ~limit:scenario_fuel
+    ~max_batches:scenario_batches ~batch tiers
 
 (* --- cycle-model agreement ------------------------------------------------ *)
 
@@ -399,20 +317,20 @@ let scenario_perf_agreement (sc : Scenario.t) =
         (r, p.Perf.stats.Perf.cycles, p.Perf.stats.Perf.instructions,
          Machine.state_hash m)
       in
-      let (r0, c0, i0, h0) = run Machine.Dispatch_ref in
-      List.iter
-        (fun (name, d) ->
-          let (r, c, i, h) = run d in
-          if (r, c, i, h) <> (r0, c0, i0, h0) then
-            QCheck.Test.fail_reportf
-              "%s/%s cycle model disagrees: ref (cycles %d, insns %d) vs \
-               (cycles %d, insns %d)%s"
-              (Core_model.config_name
-                 (Core_model.config ~cheri:true ~load_filter:true core))
-              name c0 i0 c i
-              (if h <> h0 then ", state hashes differ" else ""))
-        [ ("cached", Machine.Dispatch_cached); ("block", Machine.Dispatch_block);
-          ("chain", Machine.Dispatch_chain); ("jit", Machine.Dispatch_jit) ])
+      match List.map (fun (name, d) -> (name, run d)) Machine.dispatches with
+      | [] -> ()
+      | (_, (r0, c0, i0, h0)) :: others ->
+          List.iter
+            (fun (name, (r, c, i, h)) ->
+              if (r, c, i, h) <> (r0, c0, i0, h0) then
+                QCheck.Test.fail_reportf
+                  "%s/%s cycle model disagrees: ref (cycles %d, insns %d) vs \
+                   (cycles %d, insns %d)%s"
+                  (Core_model.config_name
+                     (Core_model.config ~cheri:true ~load_filter:true core))
+                  name c0 i0 c i
+                  (if h <> h0 then ", state hashes differ" else ""))
+            others)
     [ Core_model.Ibex; Core_model.Flute ];
   true
 

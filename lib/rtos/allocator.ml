@@ -175,7 +175,6 @@ let epoch t =
   | Baseline | Metadata -> 0
 
 let stats t = t.st
-let heap_words t = t.heap_size / 8
 
 (* --- free-chunk insertion with coalescing ------------------------------ *)
 
@@ -481,19 +480,6 @@ let free t cap =
       Ok ()
 
 (* --- introspection ------------------------------------------------------ *)
-
-let live_chunks t =
-  let rec walk chunk acc =
-    if chunk >= heap_end t then List.rev acc
-    else
-      let size = chunk_size t chunk in
-      let acc =
-        if in_use t chunk then (chunk + 8, read_bound_len t chunk) :: acc
-        else acc
-      in
-      walk (chunk + size) acc
-  in
-  walk t.heap_base []
 
 let check_invariants t =
   let quarantined =

@@ -76,10 +76,6 @@ val revoke_now : t -> unit
 
 val epoch : t -> int
 val stats : t -> stats
-val heap_words : t -> int
-
-val live_chunks : t -> (int * int) list
-(** [(data_base, data_len)] of every in-use chunk — for invariant checks. *)
 
 val check_invariants : t -> (unit, string) result
 (** Walk the heap: chunk chain covers the heap exactly, free/live/

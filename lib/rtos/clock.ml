@@ -43,12 +43,6 @@ let word_ops t n =
   let c = n * (t.params.base + t.params.mem_extra) in
   advance t c ~mem_busy:n
 
-(** Charge [n] capability-sized (64-bit) accesses. *)
-let cap_ops t n =
-  let beats = 8 / t.params.bus_bytes in
-  let c = n * (t.params.base + t.params.mem_extra + beats - 1) in
-  advance t c ~mem_busy:(n * beats)
-
 (** Cycles to zero [bytes] of memory with a store loop (the switcher's
     stack clearing, the allocator's free-time zeroing).  One
     capability-width store per 8 bytes plus loop overhead. *)

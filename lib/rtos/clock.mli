@@ -26,10 +26,6 @@ val compute : t -> int -> unit
 val word_ops : t -> int -> unit
 (** Charge [n] 32-bit data accesses. *)
 
-val cap_ops : t -> int -> unit
-(** Charge [n] capability-sized (64-bit) accesses; two bus beats each on
-    the 33-bit Ibex bus. *)
-
 val zero_cost : t -> int -> int
 (** Cycles a store loop needs to zero [bytes] of memory. *)
 

@@ -88,7 +88,3 @@ let cycles_of_event p ~load_filter (ev : Cheriot_isa.Machine.event) =
               p.base + p.mem_extra
               + (beats ~bus_bytes:p.bus_bytes 8 - 1)
               + if load_filter then p.load_filter_extra else 0))
-
-let mem_cycles_of_event p (ev : Cheriot_isa.Machine.event) =
-  if ev.ev_mem_bytes = 0 then 0
-  else beats ~bus_bytes:p.bus_bytes ev.ev_mem_bytes

@@ -49,7 +49,3 @@ val config_name : config -> string
 val cycles_of_event : params -> load_filter:bool ->
   Cheriot_isa.Machine.event -> int
 (** Cycles charged for one retired instruction (or trap entry). *)
-
-val mem_cycles_of_event : params -> Cheriot_isa.Machine.event -> int
-(** How many of those cycles keep the data bus busy — the remainder are
-    the idle slots the background revoker can steal (3.3.3). *)

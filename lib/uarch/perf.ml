@@ -3,59 +3,39 @@ module Machine = Cheriot_isa.Machine
 type stats = {
   cycles : int;
   instructions : int;
-  mem_busy : int;
   traps : int;
 }
-
-let cpi s =
-  if s.instructions = 0 then 0.0
-  else float_of_int s.cycles /. float_of_int s.instructions
-
-let pp_stats fmt s =
-  Format.fprintf fmt "%d cycles, %d insns (CPI %.2f), %d mem-busy, %d traps"
-    s.cycles s.instructions (cpi s) s.mem_busy s.traps
 
 type t = {
   machine : Machine.t;
   params : Core_model.params;
-  revoker : Revoker.t option;
   dispatch : Machine.dispatch;
   mutable stats : stats;
 }
 
-let zero_stats = { cycles = 0; instructions = 0; mem_busy = 0; traps = 0 }
+let zero_stats = { cycles = 0; instructions = 0; traps = 0 }
 
-let create ?revoker ?(dispatch = Machine.Dispatch_ref) ~params machine =
-  { machine; params; revoker; dispatch; stats = zero_stats }
+let create ?(dispatch = Machine.Dispatch_ref) ~params machine =
+  { machine; params; dispatch; stats = zero_stats }
 
 let charge t ev =
   let cycles =
     Core_model.cycles_of_event t.params
       ~load_filter:t.machine.Machine.load_filter ev
   in
-  let busy = Core_model.mem_cycles_of_event t.params ev in
   t.machine.Machine.mcycle <- t.machine.Machine.mcycle + cycles;
-  (match t.revoker with
-  | Some r ->
-      (* The background engine steals the load-store unit whenever the
-         main pipeline is not using it (3.3.3): grant this
-         instruction's idle cycles in one batched call. *)
-      Revoker.tick_n r (max 0 (cycles - busy))
-  | None -> ());
   t.stats <-
     {
       cycles = t.stats.cycles + cycles;
       instructions =
         (t.stats.instructions + match ev.Machine.ev_insn with Some _ -> 1 | None -> 0);
-      mem_busy = t.stats.mem_busy + busy;
       traps =
         (t.stats.traps + match ev.Machine.ev_trap with Some _ -> 1 | None -> 0);
     }
 
-(* WFI idle: one cycle passes, fully available to the revoker. *)
+(* WFI idle: one cycle passes. *)
 let idle_cycle t =
   t.machine.Machine.mcycle <- t.machine.Machine.mcycle + 1;
-  (match t.revoker with Some rv -> Revoker.tick rv | None -> ());
   t.stats <- { t.stats with cycles = t.stats.cycles + 1 }
 
 let step t =

@@ -1,26 +1,22 @@
 (** The performance harness: runs the ISA emulator under a cycle model,
-    advancing [mcycle], feeding idle memory cycles to the background
-    revoker, and collecting statistics. *)
+    advancing [mcycle] and collecting statistics.  The background
+    revoker's share of the idle load-store cycles (3.3.3) is modelled by
+    the RTOS clock ([Cheriot_rtos.Clock.advance]), not here. *)
 
 type stats = {
   cycles : int;
   instructions : int;
-  mem_busy : int;  (** cycles the data bus was busy with CPU traffic *)
   traps : int;
 }
-
-val cpi : stats -> float
-val pp_stats : Format.formatter -> stats -> unit
 
 type t = {
   machine : Cheriot_isa.Machine.t;
   params : Core_model.params;
-  revoker : Revoker.t option;
   dispatch : Cheriot_isa.Machine.dispatch;
   mutable stats : stats;
 }
 
-val create : ?revoker:Revoker.t -> ?dispatch:Cheriot_isa.Machine.dispatch ->
+val create : ?dispatch:Cheriot_isa.Machine.dispatch ->
   params:Core_model.params -> Cheriot_isa.Machine.t -> t
 (** [dispatch] picks the path that drives the machine (default
     [Dispatch_ref]).  A block-tier round goes through
@@ -39,8 +35,7 @@ val create : ?revoker:Revoker.t -> ?dispatch:Cheriot_isa.Machine.dispatch ->
 val step : t -> Cheriot_isa.Machine.result
 (** One round of the configured dispatch path (one instruction on the
     reference and cached paths): charges the cycles of every retired
-    instruction and grants the revoker the idle memory slots of those
-    cycles. *)
+    instruction. *)
 
 val run : ?fuel:int -> t -> Cheriot_isa.Machine.result
 (** Run until halt / double fault / WFI-with-no-interrupt-source, or

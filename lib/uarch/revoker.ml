@@ -193,9 +193,8 @@ let tick t =
     end
   end
 
-(* Grant [k] idle cycles in one call — what the perf harness does when
-   an instruction left the bus idle for several cycles, instead of [k]
-   word-at-a-time [tick]s.  Equivalent to [k] successive [tick]s by
+(* Grant [k] idle cycles in one call instead of [k] word-at-a-time
+   [tick]s.  Equivalent to [k] successive [tick]s by
    construction: stalled beats are consumed in bulk (each would only
    decrement [stall] and charge [n_busy]), and every cycle that does
    real work — retire, reload, invalidate, issue — still runs [tick],

@@ -46,8 +46,7 @@ val tick_n : t -> int -> unit
 (** [tick_n t k] grants [k] idle cycles in one call — bit-identical in
     sweep results, statistics and epoch transitions to [k] successive
     {!tick}s, but bus stalls are consumed in bulk and a non-sweeping
-    engine costs one compare.  The perf harness charges each
-    instruction's idle cycles through this instead of a tick loop. *)
+    engine costs one compare. *)
 
 val snoop_store : t -> int -> unit
 (** Notify the engine of a main-pipeline store (granule-aligned). *)

@@ -51,15 +51,15 @@ let programs =
    aggressive threshold that forms superblocks all over the hot loops.
    The engagement checks read the default-threshold runs only. *)
 let tiers =
-  Machine.
-    [
-      ("cached", Dispatch_cached, None);
-      ("block", Dispatch_block, None);
-      ("chain", Dispatch_chain, None);
-      ("jit", Dispatch_jit, None);
-      ("superblocks", Dispatch_chain, Some 2);
-      ("jit superblocks", Dispatch_jit, Some 2);
-    ]
+  List.filter_map
+    (fun (name, d) ->
+      if d = Machine.Dispatch_ref then None else Some (name, d, None))
+    Machine.dispatches
+  @ Machine.
+      [
+        ("superblocks", Dispatch_chain, Some 2);
+        ("jit superblocks", Dispatch_jit, Some 2);
+      ]
 
 let test_program_lockstep () =
   let run ?hot_threshold name setup dispatch =

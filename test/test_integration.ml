@@ -110,17 +110,32 @@ let test_heap_cap_covers_heap () =
   Alcotest.(check int) "len" t.Loader.heap_size (Capability.length h);
   Alcotest.(check bool) "no SL" false (Capability.has_perm h SL)
 
+(* Every dispatch tier traces the same (pc, instruction, result) stream
+   as the reference; only the control-flow marks may differ. *)
 let test_trace_records () =
-  let t, _ = setup () in
-  let entries = ref 0 in
-  let result, steps =
-    Trace.run t.Loader.machine ~fuel:1000 ~f:(fun e ->
-        incr entries;
-        (* every entry renders *)
-        ignore (Fmt.str "%a" Trace.pp_entry e))
+  let trace dispatch =
+    let t, _ = setup () in
+    let entries = ref [] in
+    let result, steps =
+      Trace.run t.Loader.machine ~fuel:1000 ~dispatch ~f:(fun e ->
+          entries :=
+            (e.Trace.tr_pc, e.Trace.tr_insn, e.Trace.tr_result) :: !entries;
+          (* every entry renders *)
+          ignore (Fmt.str "%a" Trace.pp_entry e))
+    in
+    (result, steps, List.rev !entries)
   in
-  Alcotest.(check bool) "halted" true (result = Machine.Step_halted);
-  Alcotest.(check int) "one entry per step" steps !entries
+  let _, _, ref_stream = trace Machine.Dispatch_ref in
+  List.iter
+    (fun (name, dispatch) ->
+      let result, steps, stream = trace dispatch in
+      Alcotest.(check bool) (name ^ ": halted") true
+        (result = Machine.Step_halted);
+      Alcotest.(check int) (name ^ ": one entry per step") steps
+        (List.length stream);
+      Alcotest.(check bool) (name ^ ": the reference stream") true
+        (stream = ref_stream))
+    Machine.dispatches
 
 let suite =
   [

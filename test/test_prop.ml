@@ -74,19 +74,27 @@ let test_generator_coverage () =
     (!comps_entered > 0);
   Alcotest.(check bool) "scenarios trap" true (!traps > 0)
 
+(* The tiers of [Machine.dispatches] with the given command-line names. *)
+let tiers names =
+  List.filter (fun (name, _) -> List.mem name names) Machine.dispatches
+
 (* Pinned regression: a timer interrupt armed while a superblock is hot
    must be delivered at exactly the same retired-instruction boundary on
-   the reference and chain paths — the delivery point is a superblock
-   side exit, the corner DESIGN.md §10 argues correct. *)
+   every dispatch path — on chain and jit the delivery point is a
+   superblock side exit, the corner DESIGN.md §10 argues correct. *)
 let test_interrupt_at_superblock_boundary () =
   let sc = { Scenario.bodies = [ [ Fall_loop 7; Fall_loop 3; Arith 1 ] ];
              seed = 0 } in
-  let mk () =
-    let l = Scenario.link ~instrument:true sc in
-    l.Scenario.t.Loader.machine
+  let machines =
+    List.map
+      (fun (name, d) ->
+        let l = Scenario.link ~instrument:true sc in
+        let m = l.Scenario.t.Loader.machine in
+        m.Machine.hot_threshold <- 2;
+        (name, d, m))
+      Machine.dispatches
   in
-  let ref_m = mk () and chn_m = mk () in
-  chn_m.Machine.hot_threshold <- 2;
+  let _, _, ref_m = List.hd machines in
   let batch = ref 0 in
   let interrupted = ref false in
   let finished = ref false in
@@ -94,38 +102,48 @@ let test_interrupt_at_superblock_boundary () =
     incr batch;
     if !batch = 3 then
       (* arm the timer mid-run: by now the fall loop is hot and the
-         chain machine is executing a formed superblock *)
+         chain and jit machines are executing a formed superblock *)
       List.iter
-        (fun (m : Machine.t) ->
+        (fun (_, _, (m : Machine.t)) ->
           m.Machine.mtimecmp <- 1;
           m.Machine.mcycle <- 1)
-        [ ref_m; chn_m ];
-    let r_ref, n_ref = Machine.run ~fuel:5 ~dispatch:Machine.Dispatch_ref ref_m in
-    let r_chn, n_chn =
-      Machine.run ~fuel:5 ~dispatch:Machine.Dispatch_chain chn_m
+        machines;
+    let runs =
+      List.map
+        (fun (name, d, m) ->
+          let r = Machine.run ~fuel:5 ~dispatch:d m in
+          (name, r, Machine.state_hash m))
+        machines
     in
     if ref_m.Machine.mcause land 0x8000_0000 <> 0 then interrupted := true;
-    Alcotest.(check bool)
-      (Printf.sprintf "batch %d: same result and retired count" !batch)
-      true
-      ((r_ref, n_ref) = (r_chn, n_chn));
-    Alcotest.(check string)
-      (Printf.sprintf "batch %d: same state hash" !batch)
-      (Machine.state_hash ref_m) (Machine.state_hash chn_m);
-    match r_ref with
+    let _, r_ref, h_ref = List.hd runs in
+    List.iter
+      (fun (name, r, h) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "batch %d: same result and retired count (%s)" !batch
+             name)
+          true (r = r_ref);
+        Alcotest.(check string)
+          (Printf.sprintf "batch %d: same state hash (%s)" !batch name)
+          h_ref h)
+      runs;
+    match fst r_ref with
     | Machine.Step_halted | Machine.Step_double_fault | Machine.Step_waiting ->
         finished := true
     | _ -> if !batch > 200 then finished := true
   done;
   Alcotest.(check bool) "an interrupt was delivered" true !interrupted;
-  let s = Machine.block_stats chn_m in
-  Alcotest.(check bool) "a superblock had formed" true
-    (s.Machine.superblocks_formed >= 1)
+  List.iter
+    (fun (name, _, m) ->
+      if List.mem name [ "chain"; "jit" ] then
+        Alcotest.(check bool) ("a superblock had formed on " ^ name) true
+          ((Machine.block_stats m).Machine.superblocks_formed >= 1))
+    machines
 
 (* Pinned regression: a cross-compartment code patch — compartment c1
    storing over c0's patchable instruction through its granted window —
-   must invalidate c0's already-translated block on the block/chain
-   paths (the store snoop crossing compartment boundaries), with final
+   must invalidate c0's already-translated block on every translating
+   tier (the store snoop crossing compartment boundaries), with final
    state identical to the reference interpreter. *)
 let test_cross_compartment_patch_snoop () =
   let sc =
@@ -149,16 +167,16 @@ let test_cross_compartment_patch_snoop () =
       Alcotest.(check bool) (name ^ ": the patch store invalidated a block")
         true
         (s.Machine.block_invalidations >= 1))
-    [ ("block", Machine.Dispatch_block); ("chain", Machine.Dispatch_chain) ]
+    (tiers [ "block"; "chain"; "jit" ])
 
 (* Pinned regression: recorded rounds (what [Trace.run] drives) run the
    same executor as the lockstep properties, but rebuild the retirement
    ring from its segments, and a side exit ends a segment.  A traced
-   chain run over a superblock-forming scenario must land on the
-   reference state and emit exactly one ring entry per retired
-   instruction, and must actually have taken a side exit — without
-   this, a ring that drops or repeats the entries around a side exit is
-   invisible to every other equivalence check. *)
+   run over a superblock-forming scenario, on each tier that forms
+   superblocks, must land on the reference state and emit exactly one
+   ring entry per retired instruction, and must actually have taken a
+   side exit — without this, a ring that drops or repeats the entries
+   around a side exit is invisible to every other equivalence check. *)
 let test_traced_superblock_matches_reference () =
   let sc =
     { Scenario.bodies = [ [ Fall_loop 7; Arith 5; Fall_loop 2 ] ]; seed = 0 }
@@ -169,20 +187,23 @@ let test_traced_superblock_matches_reference () =
   in
   let ref_m = mk () in
   let _, n_ref = Machine.run ~fuel:4096 ~dispatch:Machine.Dispatch_ref ref_m in
-  let m = mk () in
-  m.Machine.hot_threshold <- 2;
-  let entries = ref 0 in
-  ignore
-    (Trace.run m ~fuel:4096 ~dispatch:Machine.Dispatch_chain ~f:(fun _ ->
-         incr entries));
-  Alcotest.(check int) "traced run retires the reference count" n_ref !entries;
-  Alcotest.(check string) "traced run lands on the reference state"
-    (Machine.state_hash ref_m) (Machine.state_hash m);
-  let s = Machine.block_stats m in
-  Alcotest.(check bool) "the traced run formed a superblock" true
-    (s.Machine.superblocks_formed >= 1);
-  Alcotest.(check bool) "the traced run took a side exit" true
-    (s.Machine.side_exits >= 1)
+  List.iter
+    (fun (name, dispatch) ->
+      let m = mk () in
+      m.Machine.hot_threshold <- 2;
+      let entries = ref 0 in
+      ignore (Trace.run m ~fuel:4096 ~dispatch ~f:(fun _ -> incr entries));
+      let what f = Printf.sprintf "%s (%s)" f name in
+      Alcotest.(check int) (what "traced run retires the reference count")
+        n_ref !entries;
+      Alcotest.(check string) (what "traced run lands on the reference state")
+        (Machine.state_hash ref_m) (Machine.state_hash m);
+      let s = Machine.block_stats m in
+      Alcotest.(check bool) (what "the traced run formed a superblock") true
+        (s.Machine.superblocks_formed >= 1);
+      Alcotest.(check bool) (what "the traced run took a side exit") true
+        (s.Machine.side_exits >= 1))
+    (tiers [ "chain"; "jit" ])
 
 (* Pinned regression: the generator shook this scenario out of
    [scenario_lockstep].  [Allocator.revoke_now] used to sweep only

@@ -206,9 +206,6 @@ let ev insn =
   {
     Cheriot_isa.Machine.ev_insn = Some insn;
     ev_taken_branch = false;
-    ev_mem_bytes = 0;
-    ev_is_cap_mem = false;
-    ev_is_store = false;
     ev_trap = None;
   }
 
@@ -294,13 +291,7 @@ let mcycle_program =
   ]
 
 let tiers =
-  Machine.
-    [
-      ("cached", Dispatch_cached);
-      ("block", Dispatch_block);
-      ("chain", Dispatch_chain);
-      ("jit", Dispatch_jit);
-    ]
+  List.filter (fun (_, d) -> d <> Machine.Dispatch_ref) Machine.dispatches
 
 let perf_run dispatch program setup =
   let m = boot_perf program in
@@ -312,7 +303,7 @@ let perf_run dispatch program setup =
   (r, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m, Machine.block_stats m)
 
 (* Every tier must end like the reference run: same result, cycles,
-   [mcycle], instructions, memory-busy cycles, traps and final state.
+   [mcycle], instructions, traps and final state.
    Returns the reference result and each block tier's block stats. *)
 let check_perf_parity ?(setup = fun _ -> ()) program =
   let r_ref, s_ref, cy_ref, h_ref, bs_ref =
@@ -330,8 +321,6 @@ let check_perf_parity ?(setup = fun _ -> ()) program =
         Alcotest.(check int) (what "mcycle") cy_ref cy;
         Alcotest.(check int) (what "instructions") s_ref.Perf.instructions
           s.Perf.instructions;
-        Alcotest.(check int) (what "mem_busy") s_ref.Perf.mem_busy
-          s.Perf.mem_busy;
         Alcotest.(check int) (what "traps") s_ref.Perf.traps s.Perf.traps;
         Alcotest.(check string) (what "state hash") h_ref h;
         (name, bs))
