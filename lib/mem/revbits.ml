@@ -25,29 +25,35 @@ let index t addr = (addr - t.heap_base) lsr t.granule_log2
 let get t i =
   Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let set t i v =
-  let byte = Char.code (Bytes.get t.bits (i lsr 3)) in
-  let mask = 1 lsl (i land 7) in
-  let old = byte land mask <> 0 in
-  if old <> v then begin
-    t.painted <- (t.painted + if v then 1 else -1);
-    let byte = if v then byte lor mask else byte land lnot mask in
-    Bytes.set t.bits (i lsr 3) (Char.chr byte)
-  end
+let popcount8 x =
+  let x = x - ((x lsr 1) land 0x55) in
+  let x = (x land 0x33) + ((x lsr 2) land 0x33) in
+  (x + (x lsr 4)) land 0x0f
+
+(* Set bits [first, last] to [v] a bitmap byte at a time, keeping
+   [painted] exact by each byte's change in popcount. *)
+let set_range t first last v =
+  for b = first lsr 3 to last lsr 3 do
+    let lo = if b = first lsr 3 then first land 7 else 0 in
+    let hi = if b = last lsr 3 then last land 7 else 7 in
+    let mask = ((2 lsl hi) - 1) land lnot ((1 lsl lo) - 1) in
+    let old = Char.code (Bytes.get t.bits b) in
+    let byte = if v then old lor mask else old land lnot mask in
+    t.painted <- t.painted + popcount8 byte - popcount8 old;
+    Bytes.set t.bits b (Char.chr byte)
+  done
 
 let is_revoked t addr = covers t addr && get t (index t addr)
 
-let iter_granules t ~addr ~len f =
+let set_granules t ~addr ~len v =
   if len > 0 then begin
     let first = index t (max addr t.heap_base) in
     let last_addr = min (addr + len - 1) (t.heap_base + t.heap_size - 1) in
     if last_addr >= max addr t.heap_base then
-      for i = first to index t last_addr do
-        f i
-      done
+      set_range t first (index t last_addr) v
   end
 
-let paint t ~addr ~len = iter_granules t ~addr ~len (fun i -> set t i true)
-let clear t ~addr ~len = iter_granules t ~addr ~len (fun i -> set t i false)
+let paint t ~addr ~len = set_granules t ~addr ~len true
+let clear t ~addr ~len = set_granules t ~addr ~len false
 let bitmap_bytes t = Bytes.length t.bits
 let painted_granules t = t.painted

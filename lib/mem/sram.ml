@@ -36,17 +36,34 @@ let microtag_set t bit v =
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.set t.microtags (bit lsr 3) (Char.chr byte)
 
-(* granule index and half (0 = low word, 1 = high word) of an address *)
+(* granule index of an address *)
 let granule t addr = (addr - t.base) lsr 3
-let half addr = (addr lsr 2) land 1
+
+(* Architectural tag of granule [g]: both of its micro-tags. *)
+let granule_tagged t g =
+  (Char.code (Bytes.get t.microtags (g lsr 2)) lsr ((g land 3) * 2)) land 3 = 3
 
 let clear_microtags_for_write t addr len =
-  (* Any data write clears the micro-tag of each 32-bit half it touches. *)
+  (* Any data write clears the micro-tag of each 32-bit half it touches.
+     Short writes (the emulator's stores) clear bit by bit; long ones
+     (zeroing, program load) clear whole micro-tag bytes and only the
+     edge bits one at a time. *)
   let first = (addr - t.base) lsr 2 in
   let last = (addr + len - 1 - t.base) lsr 2 in
-  for half_idx = first to last do
-    microtag_set t half_idx false
-  done
+  if last - first < 16 then
+    for half_idx = first to last do
+      microtag_set t half_idx false
+    done
+  else begin
+    let b0 = (first + 7) lsr 3 and b1 = (last + 1) lsr 3 in
+    for half_idx = first to (b0 lsl 3) - 1 do
+      microtag_set t half_idx false
+    done;
+    Bytes.fill t.microtags b0 (b1 - b0) '\000';
+    for half_idx = b1 lsl 3 to last do
+      microtag_set t half_idx false
+    done
+  end
 
 (* Unchecked variants for the machine's resolved-window fast path: the
    caller has already proved the access in range and aligned (the window
@@ -116,11 +133,26 @@ let read_microtags t addr =
   let g = granule t (addr land lnot 7) in
   (microtag_get t (2 * g), microtag_get t ((2 * g) + 1))
 
-let tag_at t addr =
-  let lo, hi = read_microtags t addr in
-  lo && hi
+let tag_at t addr = granule_tagged t (granule t (addr land lnot 7))
 
-let _ = half
+let next_tagged t ~addr ~limit =
+  if addr < t.base || limit > t.base + t.size then
+    invalid_arg
+      (Printf.sprintf "Sram.next_tagged: 0x%x-0x%x out of range" addr limit);
+  (* granules [g, gl) start below [limit]; a micro-tag byte holds four
+     granules, and [b land (b lsr 1) land 0x55 = 0] says none of them
+     has both micro-tags set *)
+  let gl = (limit - t.base + 7) lsr 3 in
+  let rec scan g =
+    if g >= gl then limit
+    else if g land 3 = 0 && g + 4 <= gl then
+      let b = Char.code (Bytes.get t.microtags (g lsr 2)) in
+      if b land (b lsr 1) land 0x55 = 0 then scan (g + 4) else one g
+    else one g
+  and one g =
+    if granule_tagged t g then t.base + (g lsl 3) else scan (g + 1)
+  in
+  scan (granule t addr)
 
 let fill t ~addr ~len c =
   if len > 0 then begin

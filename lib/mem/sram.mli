@@ -68,6 +68,14 @@ val read_microtags : t -> int -> bool * bool
 val tag_at : t -> int -> bool
 (** Architectural tag of the granule containing the address. *)
 
+val next_tagged : t -> addr:int -> limit:int -> int
+(** [next_tagged t ~addr ~limit] is the address of the first granule at
+    or after [addr]'s, and starting below [limit], whose tag is set, or
+    [limit] if there is none.  Scans the micro-tags four granules at a
+    time, so runs of untagged memory are skipped in bulk (the revokers'
+    sweeps).  Raises [Invalid_argument] unless [[addr, limit)] lies in
+    the SRAM. *)
+
 val digest : t -> string
 (** MD5 of base, size, contents and micro-tags — the memory part of a
     machine state hash. *)

@@ -16,9 +16,11 @@
       boot-time capability envelope (the paper-2.5 invariant,
       generalized from the flat fuzz boot to linked images);
     + {b codec/engine invariants}: the E'4/B'9/T'9 bounds round-trip
-      properties (in [test_bounds], over {!Flatgen.gen_region}) and
+      properties (in [test_bounds], over {!Flatgen.gen_region}),
       [Revoker.tick_n] ≡ tick-loop equivalence under random grant and
-      snoop schedules;
+      snoop schedules, and each bulk temporal-safety primitive (micro-tag
+      clear, [Revbits] paint/clear, the software sweep's run skip) ≡ its
+      per-granule original, kept here as the reference;
     + {b auditor precision}: every generated {e clean} scenario audits
       with zero findings — the zero-false-positive claim pinned under
       generated, not hand-written, inputs.
@@ -486,121 +488,374 @@ let scenario_validated_jit_agrees (sc : Scenario.t) =
       "validator rejected %d plan(s) the optimizer emitted" rejected;
   true
 
-(* --- Revoker.tick_n ≡ tick loop ------------------------------------------- *)
+(* --- bulk temporal-safety primitives ≡ their per-granule originals ------- *)
 
-type revoker_case = {
-  rc_core : Core_model.core;
-  rc_pipelined : bool;
-  rc_caps : (int * int * bool) list;
-      (** (granule index, target granule index, freed?) capabilities to
-          place before the sweep *)
-  rc_grants : int list;  (** cycle-grant batch sizes *)
-  rc_snoops : int list;  (** grant indices after which a store lands *)
+(* The memories these properties sweep: long untagged runs with a few
+   clusters of capabilities (each to its own target granule, painted
+   when the cluster is freed) and a few half-tagged granules, whose one
+   micro-tag must not read as a tag. *)
+let bulk_base = 0x40000
+let bulk_size = 0x2000
+let bulk_granules = bulk_size / 8
+
+type layout = {
+  clusters : (int * int * bool) list;
+      (** (first granule, length, freed?) runs of capabilities *)
+  halves : int list;  (** granules left with one micro-tag set *)
 }
 
-let revoker_heap_base = 0x40000
-let revoker_heap_size = 0x2000
-
-(** [tick_n k] must be bit-identical to [k] successive [tick]s — sweep
-    results, statistics, epoch transitions and final memory — under
-    random capability layouts, grant schedules and mid-sweep snoops. *)
-let revoker_tick_n_agrees (rc : revoker_case) =
-  let granules = revoker_heap_size / 8 in
-  let mk () =
-    let sram = Sram.create ~base:revoker_heap_base ~size:revoker_heap_size in
-    let rev =
-      Revbits.create ~heap_base:revoker_heap_base
-        ~heap_size:revoker_heap_size ()
-    in
-    List.iter
-      (fun (at, target, freed) ->
-        let at = revoker_heap_base + (8 * (at mod granules)) in
-        let target = revoker_heap_base + (8 * (target mod granules)) in
+let place_layout sram rev (l : layout) =
+  List.iter
+    (fun (first, len, freed) ->
+      for i = 0 to len - 1 do
+        let at = bulk_base + (8 * ((first + i) mod bulk_granules)) in
+        let target =
+          bulk_base + (8 * (((first * 31) + (i * 7) + 5) mod bulk_granules))
+        in
         let c =
           Capability.set_bounds
             (Capability.with_address Capability.root_mem_rw target)
             ~length:8 ~exact:true
         in
         Sram.write_cap sram at (true, Capability.to_word c);
-        if freed then Revbits.paint rev ~addr:target ~len:8)
-      rc.rc_caps;
+        if freed then Revbits.paint rev ~addr:target ~len:8
+      done)
+    l.clusters;
+  List.iter
+    (fun g ->
+      let at = bulk_base + (8 * (g mod bulk_granules)) in
+      Sram.write_cap sram at (true, 0x1234_5678_9abc_def0L);
+      Sram.write32 sram (at + (4 * (g land 1))) 0)
+    l.halves
+
+(* [dense] tags every granule before the layout is placed, so a clear
+   that strays one micro-tag past its write shows. *)
+let bulk_memory ?(dense = false) l =
+  let sram = Sram.create ~base:bulk_base ~size:bulk_size in
+  let rev = Revbits.create ~heap_base:bulk_base ~heap_size:bulk_size () in
+  if dense then
+    for g = 0 to bulk_granules - 1 do
+      Sram.write_cap sram (bulk_base + (8 * g)) (true, Int64.of_int g)
+    done;
+  place_layout sram rev l;
+  (sram, rev)
+
+let gen_layout =
+  let open QCheck.Gen in
+  let* clusters =
+    list_size (0 -- 5)
+      (triple (int_bound (bulk_granules - 1)) (1 -- 6) bool)
+  in
+  let* halves = list_size (0 -- 4) (int_bound (bulk_granules - 1)) in
+  return { clusters; halves }
+
+let print_layout l =
+  Printf.sprintf "clusters=[%s] halves=[%s]"
+    (String.concat ";"
+       (List.map
+          (fun (g, n, f) -> Printf.sprintf "%d+%d%s" g n (if f then "F" else ""))
+          l.clusters))
+    (String.concat ";" (List.map string_of_int l.halves))
+
+(* Revoker.tick_n ≡ tick loop.  [tick_n] stalls in bulk and
+   fast-forwards untagged runs; the reference grants one [tick] at a
+   time. *)
+
+type revoker_case = {
+  rc_core : Core_model.core;
+  rc_pipelined : bool;
+  rc_layout : layout;
+  rc_start : int;  (** granules between the heap start and the sweep's *)
+  rc_stop_gap : int;  (** granules between the sweep's end and the heap's *)
+  rc_grants : int list;  (** cycle-grant batch sizes *)
+  rc_snoops : (int * int * bool) list;
+      (** (grant index, granule past the next to retire, capability
+          store?): after that grant a store lands on an in-flight word
+          (offsets 0 and 1) or the one about to load (2) *)
+}
+
+(** [tick_n k] must be bit-identical to [k] successive [tick]s — sweep
+    results, statistics, epoch transitions and final memory — under
+    random capability layouts, sweep bounds, grant schedules and
+    stores racing the engine's in-flight words. *)
+let revoker_tick_n_agrees (rc : revoker_case) =
+  let freed_target = bulk_base + bulk_size - 8 in
+  let freed_cap =
+    Capability.to_word
+      (Capability.set_bounds
+         (Capability.with_address Capability.root_mem_rw freed_target)
+         ~length:8 ~exact:true)
+  in
+  let start = bulk_base + (8 * rc.rc_start) in
+  let mk () =
+    let sram, rev = bulk_memory rc.rc_layout in
+    Revbits.paint rev ~addr:freed_target ~len:8;
     let r =
       Revoker.create ~pipelined:rc.rc_pipelined ~core:rc.rc_core ~sram ~rev ()
     in
-    Revoker.kick r ~start:revoker_heap_base
-      ~stop:(revoker_heap_base + revoker_heap_size);
+    Revoker.kick r ~start ~stop:(bulk_base + bulk_size - (8 * rc.rc_stop_gap));
     (sram, r)
   in
   let sram_a, a = mk () and sram_b, b = mk () in
+  let agree what =
+    if
+      Revoker.sweeping a <> Revoker.sweeping b
+      || Revoker.epoch a <> Revoker.epoch b
+      || Revoker.words_swept a <> Revoker.words_swept b
+      || Revoker.busy_cycles a <> Revoker.busy_cycles b
+      || Revoker.caps_invalidated a <> Revoker.caps_invalidated b
+      || Revoker.race_reloads a <> Revoker.race_reloads b
+      || Sram.digest sram_a <> Sram.digest sram_b
+    then
+      QCheck.Test.fail_reportf
+        "tick/tick_n diverged %s (swept %d vs %d, busy %d vs %d, \
+         invalidated %d vs %d, reloads %d vs %d)"
+        what (Revoker.words_swept a) (Revoker.words_swept b)
+        (Revoker.busy_cycles a) (Revoker.busy_cycles b)
+        (Revoker.caps_invalidated a)
+        (Revoker.caps_invalidated b)
+        (Revoker.race_reloads a) (Revoker.race_reloads b)
+  in
   List.iteri
     (fun gi k ->
       for _ = 1 to k do
         Revoker.tick a
       done;
       Revoker.tick_n b k;
-      if List.mem gi rc.rc_snoops then begin
-        let addr = revoker_heap_base + (8 * (gi mod granules)) in
-        Sram.write32 sram_a addr 0xdeadbeef;
-        Sram.write32 sram_b addr 0xdeadbeef;
-        Revoker.snoop_store a addr;
-        Revoker.snoop_store b addr
-      end;
-      if
-        Revoker.sweeping a <> Revoker.sweeping b
-        || Revoker.words_swept a <> Revoker.words_swept b
-        || Revoker.busy_cycles a <> Revoker.busy_cycles b
-      then
-        QCheck.Test.fail_reportf
-          "tick/tick_n diverged at grant %d (swept %d vs %d, busy %d vs %d)"
-          gi (Revoker.words_swept a) (Revoker.words_swept b)
-          (Revoker.busy_cycles a) (Revoker.busy_cycles b))
+      List.iter
+        (fun (at, off, cap) ->
+          let addr = start + (8 * (Revoker.words_swept a + off)) in
+          if at = gi && addr < bulk_base + bulk_size then
+            List.iter
+              (fun (sram, r) ->
+                if cap then Sram.write_cap sram addr (true, freed_cap)
+                else Sram.write32 sram addr 0xdeadbeef;
+                Revoker.snoop_store r addr)
+              [ (sram_a, a); (sram_b, b) ])
+        rc.rc_snoops;
+      agree (Printf.sprintf "at grant %d" gi))
     rc.rc_grants;
-  ignore (Revoker.run_to_completion a);
-  Revoker.tick_n b 10_000_000;
-  if
-    Revoker.epoch a <> Revoker.epoch b
-    || Revoker.caps_invalidated a <> Revoker.caps_invalidated b
-    || Revoker.race_reloads a <> Revoker.race_reloads b
-  then
-    QCheck.Test.fail_reportf
-      "tick/tick_n end state differs (epoch %d vs %d, invalidated %d vs %d)"
-      (Revoker.epoch a) (Revoker.epoch b)
-      (Revoker.caps_invalidated a)
-      (Revoker.caps_invalidated b);
-  let a = ref revoker_heap_base in
-  while !a < revoker_heap_base + revoker_heap_size do
-    if
-      Sram.read32 sram_a !a <> Sram.read32 sram_b !a
-      || Sram.tag_at sram_a !a <> Sram.tag_at sram_b !a
-    then QCheck.Test.fail_reportf "tick/tick_n memory differs at 0x%x" !a;
-    a := !a + 8
+  while Revoker.sweeping a do
+    Revoker.tick a
   done;
+  ignore (Revoker.run_to_completion b);
+  agree "at the end";
   true
 
 let gen_revoker_case : revoker_case QCheck.Gen.t =
   let open QCheck.Gen in
   let* core = oneofl [ Core_model.Ibex; Core_model.Flute ] in
   let* pipelined = bool in
-  let* caps =
-    list_size (1 -- 12)
-      (let* at = int_bound 1023 and* target = int_bound 1023 and* freed = bool in
-       return (at, target, freed))
+  let* layout = gen_layout in
+  let* start = int_bound 7 and* stop_gap = int_bound 7 in
+  (* grants shorter than a bus step, ones that end inside a run, and
+     ones that cross several runs *)
+  let* grants =
+    list_size (1 -- 16)
+      (frequency [ (3, 1 -- 3); (4, 4 -- 120); (2, 120 -- 1500) ])
   in
-  let* grants = list_size (1 -- 12) (1 -- 600) in
-  let* snoops = list_size (0 -- 3) (int_bound 12) in
+  let* snoops =
+    list_size (0 -- 4) (triple (int_bound 15) (int_bound 2) bool)
+  in
   return
-    { rc_core = core; rc_pipelined = pipelined; rc_caps = caps;
-      rc_grants = grants; rc_snoops = snoops }
+    { rc_core = core; rc_pipelined = pipelined; rc_layout = layout;
+      rc_start = start; rc_stop_gap = stop_gap; rc_grants = grants;
+      rc_snoops = snoops }
 
 let arb_revoker_case =
   QCheck.make
     ~print:(fun rc ->
-      Printf.sprintf "%s pipelined=%b caps=%d grants=[%s] snoops=[%s]"
+      Printf.sprintf
+        "%s pipelined=%b %s sweep=+%d..-%d grants=[%s] snoops=[%s]"
         (match rc.rc_core with Core_model.Ibex -> "ibex" | _ -> "flute")
-        rc.rc_pipelined (List.length rc.rc_caps)
+        rc.rc_pipelined
+        (print_layout rc.rc_layout)
+        rc.rc_start rc.rc_stop_gap
         (String.concat ";" (List.map string_of_int rc.rc_grants))
-        (String.concat ";" (List.map string_of_int rc.rc_snoops)))
+        (String.concat ";"
+           (List.map
+              (fun (g, o, c) -> Printf.sprintf "%d+%d%s" g o (if c then "C" else ""))
+              rc.rc_snoops)))
     gen_revoker_case
+
+(* Micro-tag clear: a long write clears whole micro-tag bytes.  The
+   reference writes the same bytes one at a time, and a one-byte write
+   takes the per-half bit loop. *)
+
+type clear_case = {
+  cc_layout : layout;
+  cc_addr : int;  (** byte offset of the write *)
+  cc_len : int;
+  cc_blit : bool;  (** [blit_string] rather than [fill] *)
+  cc_dense : bool;  (** every granule tagged before the layout *)
+}
+
+let microtag_clear_agrees (cc : clear_case) =
+  let memory () = fst (bulk_memory ~dense:cc.cc_dense cc.cc_layout) in
+  let bulk = memory () and per_byte = memory () in
+  let addr = bulk_base + cc.cc_addr in
+  let byte i = if cc.cc_blit then (i * 37) land 0xff else 0xa5 in
+  if cc.cc_blit then
+    Sram.blit_string bulk ~addr (String.init cc.cc_len (fun i -> Char.chr (byte i)))
+  else Sram.fill bulk ~addr ~len:cc.cc_len (Char.chr (byte 0));
+  for i = 0 to cc.cc_len - 1 do
+    Sram.write8 per_byte (addr + i) (byte i)
+  done;
+  if Sram.digest bulk <> Sram.digest per_byte then
+    QCheck.Test.fail_reportf "bulk and per-half micro-tag clears differ";
+  true
+
+let arb_clear_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun cc ->
+      Printf.sprintf "%s%s %s +0x%x len %d"
+        (if cc.cc_dense then "dense " else "")
+        (print_layout cc.cc_layout)
+        (if cc.cc_blit then "blit" else "fill")
+        cc.cc_addr cc.cc_len)
+    (let* layout = gen_layout in
+     (* on both sides of the 16-half (64-byte) cut-over *)
+     let* len = frequency [ (2, 1 -- 63); (3, 56 -- 80); (2, 64 -- 600) ] in
+     let* addr = int_bound (bulk_size - len) and* blit = bool
+     and* dense = bool in
+     return
+       { cc_layout = layout; cc_addr = addr; cc_len = len; cc_blit = blit;
+         cc_dense = dense })
+
+(* Revbits paint/clear set whole bitmap bytes.  The reference sets one
+   bit per granule, with the original clamping to the covered region. *)
+
+type revbits_case = {
+  rb_log2 : int;
+  rb_heap_size : int;
+  rb_ops : (bool * int * int) list;
+      (** (paint?, offset from the heap base, length) *)
+}
+
+let revbits_agree (rb : revbits_case) =
+  let base = 0x1000 and g = 1 lsl rb.rb_log2 in
+  let rev =
+    Revbits.create ~granule_log2:rb.rb_log2 ~heap_base:base
+      ~heap_size:rb.rb_heap_size ()
+  in
+  let bits = Array.make ((rb.rb_heap_size + g - 1) / g) false in
+  List.iter
+    (fun (paint, off, len) ->
+      let addr = base + off in
+      if paint then Revbits.paint rev ~addr ~len
+      else Revbits.clear rev ~addr ~len;
+      let lo = max addr base in
+      let last = min (addr + len - 1) (base + rb.rb_heap_size - 1) in
+      if len > 0 && last >= lo then
+        for i = (lo - base) / g to (last - base) / g do
+          bits.(i) <- paint
+        done)
+    rb.rb_ops;
+  Array.iteri
+    (fun i b ->
+      if Revbits.is_revoked rev (base + (i * g)) <> b then
+        QCheck.Test.fail_reportf "granule %d: bulk %b, per-granule %b" i
+          (not b) b)
+    bits;
+  let painted = Array.fold_left (fun n b -> if b then n + 1 else n) 0 bits in
+  if Revbits.painted_granules rev <> painted then
+    QCheck.Test.fail_reportf "painted_granules %d, per-granule count %d"
+      (Revbits.painted_granules rev)
+      painted;
+  true
+
+let arb_revbits_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun rb ->
+      Printf.sprintf "granule %d heap %d ops=[%s]" (1 lsl rb.rb_log2)
+        rb.rb_heap_size
+        (String.concat ";"
+           (List.map
+              (fun (p, o, l) ->
+                Printf.sprintf "%s %d+%d" (if p then "paint" else "clear") o l)
+              rb.rb_ops)))
+    (let* log2 = 3 -- 5 and* heap_size = 1 -- 2048 in
+     let* ops =
+       list_size (1 -- 12)
+         (triple bool (-64 -- (heap_size + 64))
+            (frequency [ (2, 0 -- 64); (2, 64 -- 2200) ]))
+     in
+     return { rb_log2 = log2; rb_heap_size = heap_size; rb_ops = ops })
+
+(* The software sweep skips untagged runs inside a batch.  The
+   reference loads and checks every granule, and the batch charges are
+   recomputed from the granule counts. *)
+
+type sweep_case = {
+  sw_layout : layout;
+  sw_start : int;  (** byte offsets into the SRAM *)
+  sw_stop : int;
+  sw_batch : int;
+}
+
+let sw_sweep_agrees (sc : sweep_case) =
+  let params = Core_model.params_of Core_model.Ibex in
+  let bulk, rev_bulk = bulk_memory sc.sw_layout in
+  let clock = Cheriot_rtos.Clock.create params in
+  let sw =
+    Cheriot_rtos.Sw_revoker.create ~batch_granules:sc.sw_batch ~sram:bulk
+      ~rev:rev_bulk ~clock ()
+  in
+  let start = bulk_base + sc.sw_start and stop = bulk_base + sc.sw_stop in
+  let batches = ref 0 in
+  Cheriot_rtos.Sw_revoker.sweep sw ~on_batch_end:(fun () -> incr batches)
+    ~start ~stop;
+  let ref_mem, rev = bulk_memory sc.sw_layout in
+  let invalidated = ref 0 and ref_batches = ref 0 and cycles = ref 0 in
+  let cost = Cheriot_rtos.Sw_revoker.pair_cost params in
+  let pos = ref (start land lnot 7) in
+  while !pos < stop do
+    let batch_end = min stop (!pos + (sc.sw_batch * 8)) in
+    cycles := !cycles + ((((batch_end - !pos) / 8) + 1) / 2 * cost);
+    incr ref_batches;
+    while !pos < batch_end do
+      let tag, word = Sram.read_cap ref_mem !pos in
+      if
+        tag
+        && Revbits.is_revoked rev
+             (Capability.base (Capability.of_word ~tag word))
+      then begin
+        Sram.write_cap ref_mem !pos (false, word);
+        incr invalidated
+      end;
+      pos := !pos + 8
+    done
+  done;
+  if
+    Cheriot_rtos.Sw_revoker.invalidated sw <> !invalidated
+    || Sram.digest bulk <> Sram.digest ref_mem
+    || !batches <> !ref_batches
+    || Cheriot_rtos.Clock.cycles clock <> !cycles
+  then
+    QCheck.Test.fail_reportf
+      "sweeps differ: invalidated %d vs %d, batches %d vs %d, cycles %d vs \
+       %d, memory %s"
+      (Cheriot_rtos.Sw_revoker.invalidated sw)
+      !invalidated !batches !ref_batches
+      (Cheriot_rtos.Clock.cycles clock)
+      !cycles
+      (if Sram.digest bulk = Sram.digest ref_mem then "equal" else "differs");
+  true
+
+let arb_sweep_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun sc ->
+      Printf.sprintf "%s sweep +0x%x..+0x%x batch %d" (print_layout sc.sw_layout)
+        sc.sw_start sc.sw_stop sc.sw_batch)
+    (let* layout = gen_layout in
+     let* a = int_bound bulk_size and* b = int_bound bulk_size in
+     let* batch = oneof [ 1 -- 8; 9 -- 300 ] in
+     return
+       { sw_layout = layout; sw_start = min a b; sw_stop = max a b;
+         sw_batch = batch })
 
 (* --- the assembled test family -------------------------------------------- *)
 
@@ -685,4 +940,13 @@ let scenario_tests =
       ~name:"Revoker.tick_n is bit-identical to the tick loop"
       ~count:(Iters.count ~default:100) arb_revoker_case
       revoker_tick_n_agrees;
+    QCheck.Test.make
+      ~name:"bulk micro-tag clears match the per-half clear"
+      ~count:(Iters.count ~default:200) arb_clear_case microtag_clear_agrees;
+    QCheck.Test.make
+      ~name:"bytewise Revbits paint/clear match the per-granule bits"
+      ~count:(Iters.count ~default:300) arb_revbits_case revbits_agree;
+    QCheck.Test.make
+      ~name:"the run-skipping software sweep matches the per-granule sweep"
+      ~count:(Iters.count ~default:100) arb_sweep_case sw_sweep_agrees;
   ]

@@ -29,9 +29,7 @@ let advance ?(mem_busy = 0) t n =
     t.cycles <- t.cycles + n;
     match t.hw_revoker with
     | Some r when t.revoker_enabled ->
-        for _ = 1 to n - mem_busy do
-          Cheriot_uarch.Revoker.tick r
-        done
+        Cheriot_uarch.Revoker.tick_n r (n - mem_busy)
     | Some _ | None -> ()
   end
 

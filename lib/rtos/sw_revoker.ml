@@ -40,8 +40,8 @@ let pair_cost params =
   (4 * access) + 1
 
 let sweep_granule t addr =
-  let tag, word = Sram.read_cap t.sram addr in
-  if tag then begin
+  if Sram.tag_at t.sram addr then begin
+    let tag, word = Sram.read_cap t.sram addr in
     let c = Cheriot_core.Capability.of_word ~tag word in
     if Revbits.is_revoked t.rev (Cheriot_core.Capability.base c) then begin
       (* The store-back writes the tag-stripped value. *)
@@ -61,9 +61,14 @@ let sweep ?(on_batch_end = fun () -> ()) t ~start ~stop =
   while !pos < stop do
     let batch_end = min stop (!pos + (t.batch_granules * 8)) in
     let granules = (batch_end - !pos) / 8 in
+    (* Untagged granules load and store back unchanged: skip their runs
+       (the batch's cycle charge below still counts them). *)
     while !pos < batch_end do
-      sweep_granule t !pos;
-      pos := !pos + 8
+      pos := Sram.next_tagged t.sram ~addr:!pos ~limit:batch_end;
+      if !pos < batch_end then begin
+        sweep_granule t !pos;
+        pos := !pos + 8
+      end
     done;
     (* Two granules per unrolled iteration. *)
     Clock.advance t.clock

@@ -9,8 +9,9 @@ type t = {
   rev : Revbits.t;
   pipelined : bool;
   bus_beats : int;  (** bus beats per 8-byte load (1 on Flute, 2 on Ibex) *)
-  mutable start_a : int;
-  mutable end_a : int;
+  mutable reg_start : int;  (** the programmed [start] register *)
+  mutable reg_end : int;  (** the programmed [end] register *)
+  mutable end_a : int;  (** the running sweep's (clamped) end *)
   mutable epoch : int;
   mutable sweeping : bool;
   mutable pos : int;
@@ -47,7 +48,8 @@ let create ?(pipelined = true) ~core ~sram ~rev () =
     rev;
     pipelined;
     bus_beats = (match (core : Core_model.core) with Flute -> 1 | Ibex -> 2);
-    start_a = 0;
+    reg_start = 0;
+    reg_end = 0;
     end_a = 0;
     epoch = 0;
     sweeping = false;
@@ -80,15 +82,14 @@ let race_reloads t = t.n_race
 
 let kick t ~start ~stop =
   if not t.sweeping then begin
-    t.start_a <- start land lnot 7;
-    t.end_a <- stop land lnot 7;
     (* Clamp the scan window into the SRAM: the stage loads below use
        the unchecked accessors, which are only defined in range.  A
-       well-formed kick (the allocator's) is unaffected. *)
+       well-formed kick (the allocator's) is unaffected.  Only [kick]
+       sets the sweep's bounds, so register writes during a sweep
+       cannot move them out of range. *)
     let lo = Sram.base t.sram and hi = Sram.base t.sram + Sram.size t.sram in
-    if t.start_a < lo then t.start_a <- lo;
-    if t.end_a > hi then t.end_a <- hi;
-    t.pos <- t.start_a;
+    t.pos <- max lo (start land lnot 7);
+    t.end_a <- min hi (stop land lnot 7);
     t.s1_live <- false;
     t.s2_live <- false;
     t.stall <- 0;
@@ -193,11 +194,60 @@ let tick t =
     end
   end
 
-(* Grant [k] idle cycles in one call instead of [k] word-at-a-time
-   [tick]s.  Equivalent to [k] successive [tick]s by
-   construction: stalled beats are consumed in bulk (each would only
-   decrement [stall] and charge [n_busy]), and every cycle that does
-   real work — retire, reload, invalidate, issue — still runs [tick],
+(* Fast-forward over a run of untagged granules: whole steps only, from
+   a step boundary ([stall = 0]) with both stages empty or holding a
+   clean untagged word, so no step of the run can reload, invalidate or
+   finish the sweep.  A step is [bus_beats] cycles on the two-stage
+   engine (retire stage 2, shift, issue), one more on the single-stage
+   engine, which issues only into an empty pipeline (so it starts with
+   stage 1 empty).  No store lands inside one grant (the [Clock] model
+   issues none mid-advance), so the words loaded at the end of the run
+   are the ones each step would have loaded.  Returns the cycles
+   consumed; 0 when fewer than two steps qualify, and the caller ticks. *)
+let fast_forward t k =
+  let clean live tag dirty = (not live) || not (tag || dirty) in
+  let step = if t.pipelined then t.bus_beats else t.bus_beats + 1 in
+  let steps = min (k / step) ((t.end_a - t.pos) / 8) in
+  if
+    steps < 2 || t.stall <> 0
+    || (not (clean t.s1_live t.s1_tag t.s1_dirty))
+    || (not (clean t.s2_live t.s2_tag t.s2_dirty))
+    || ((not t.pipelined) && t.s1_live)
+  then 0
+  else
+    let p0 = t.pos in
+    let m =
+      (Sram.next_tagged t.sram ~addr:p0 ~limit:(p0 + (8 * steps)) - p0) / 8
+    in
+    if m < 2 then 0
+    else begin
+      let live b = if b then 1 else 0 in
+      let last = p0 + (8 * (m - 1)) in
+      if t.pipelined then begin
+        (* steps 1 and 2 retire the two stages, steps 3..m the first
+           m - 2 words of the run; the last two words stay in flight *)
+        t.n_swept <- t.n_swept + live t.s2_live + live t.s1_live + m - 2;
+        load_s1 t (last - 8);
+        shift t;
+        load_s1 t last
+      end
+      else begin
+        (* step 1 retires stage 2, steps 2..m the first m - 1 words of
+           the run; the last word waits in stage 2 *)
+        t.n_swept <- t.n_swept + live t.s2_live + m - 1;
+        load_s1 t last;
+        shift t
+      end;
+      t.pos <- p0 + (8 * m);
+      t.n_busy <- t.n_busy + (m * step);
+      m * step
+    end
+
+(* Grant [k] idle cycles in one call.  Equivalent to [k] successive
+   [tick]s: stalled beats are consumed in bulk (each would only
+   decrement [stall] and charge [n_busy]), runs of untagged granules are
+   fast-forwarded in closed form, and every other cycle — retire,
+   reload, invalidate, issue next to a tagged word — still runs [tick],
    so sweep results, statistics and epoch transitions are bit-identical.
    A revoker that is not sweeping costs one compare. *)
 let tick_n t k =
@@ -210,32 +260,33 @@ let tick_n t k =
       k := !k - c
     end
     else begin
-      tick t;
-      decr k
+      let c = fast_forward t !k in
+      if c > 0 then k := !k - c
+      else begin
+        tick t;
+        decr k
+      end
     end
   done
 
 let run_to_completion t =
-  let n = ref 0 in
-  while t.sweeping do
-    tick t;
-    incr n
-  done;
-  !n
+  let busy = t.n_busy in
+  tick_n t max_int;
+  t.n_busy - busy
 
 let mmio t ~base =
   let read32 off =
     match off with
-    | 0 -> t.start_a
-    | 4 -> t.end_a
+    | 0 -> t.reg_start
+    | 4 -> t.reg_end
     | 8 -> t.epoch
     | _ -> 0
   in
   let write32 off v =
     match off with
-    | 0 -> t.start_a <- v land lnot 7
-    | 4 -> t.end_a <- v land lnot 7
-    | 12 -> kick t ~start:t.start_a ~stop:t.end_a
+    | 0 -> t.reg_start <- v land lnot 7
+    | 4 -> t.reg_end <- v land lnot 7
+    | 12 -> kick t ~start:t.reg_start ~stop:t.reg_end
     | _ -> ()
   in
   { Mmio.name = "revoker"; dev_base = base; dev_size = 16; read32; write32 }

@@ -11,7 +11,9 @@
 
     Exposed as an MMIO device with four registers:
     [start], [end], [epoch] (read-only) and [kick] (write-only; starts a
-    pass over [[start, end)], no effect if one is underway).
+    pass over [[start, end)], no effect if one is underway).  [start]
+    and [end] program the next pass: a write during a sweep does not
+    reach the running one.
 
     The race with the main pipeline — revoker loads a word, the
     application overwrites it, the revoker writes back a stale
@@ -44,9 +46,10 @@ val tick : t -> unit
 
 val tick_n : t -> int -> unit
 (** [tick_n t k] grants [k] idle cycles in one call — bit-identical in
-    sweep results, statistics and epoch transitions to [k] successive
-    {!tick}s, but bus stalls are consumed in bulk and a non-sweeping
-    engine costs one compare. *)
+    sweep results, statistics, epoch transitions and memory to [k]
+    successive {!tick}s with no store in between, but bus stalls are
+    consumed in bulk, runs of untagged granules are fast-forwarded in
+    closed form and a non-sweeping engine costs one compare. *)
 
 val snoop_store : t -> int -> unit
 (** Notify the engine of a main-pipeline store (granule-aligned). *)

@@ -144,7 +144,9 @@ let test_tick_n_equivalence () =
           Alcotest.(check int) "busy cycles equal" (Revoker.busy_cycles a)
             (Revoker.busy_cycles b))
         grants;
-      ignore (Revoker.run_to_completion a);
+      while Revoker.sweeping a do
+        Revoker.tick a
+      done;
       Revoker.tick_n b 1_000_000;
       Alcotest.(check int) "epoch equal" (Revoker.epoch a) (Revoker.epoch b);
       Alcotest.(check int) "caps invalidated equal" (Revoker.caps_invalidated a)
@@ -185,6 +187,33 @@ let test_mmio_interface () =
     (Bus.read bus ~width:4 (reg 8));
   Alcotest.(check bool) "stale invalidated" false
     (Sram.tag_at sram (heap_base + 0x800))
+
+(* The [start]/[end] registers program the next sweep; a write while a
+   sweep runs must not reach it.  An [end] past the SRAM written
+   mid-sweep used to become the running sweep's bound unclamped, and
+   the stage loads then ran off the end of the SRAM. *)
+let test_mmio_write_mid_sweep () =
+  let sram, rev = make () in
+  let r = Revoker.create ~core:Core_model.Flute ~sram ~rev () in
+  let bus = Bus.create () in
+  Bus.add_sram bus sram;
+  Revoker.attach r bus ~base:0x1000_0000;
+  let reg n = 0x1000_0000 + n in
+  Bus.write bus ~width:4 (reg 0) heap_base;
+  Bus.write bus ~width:4 (reg 4) (heap_base + 0x1000);
+  Bus.write bus ~width:4 (reg 12) 1;
+  Bus.write bus ~width:4 (reg 4) 0x90000;
+  ignore (Revoker.run_to_completion r);
+  Alcotest.(check int) "the running sweep kept its 4 KiB" (0x1000 / 8)
+    (Revoker.words_swept r);
+  Alcotest.(check int) "the register holds the programmed end" 0x90000
+    (Bus.read bus ~width:4 (reg 4));
+  (* the next kick takes the new end, clamped into the SRAM *)
+  Bus.write bus ~width:4 (reg 12) 1;
+  ignore (Revoker.run_to_completion r);
+  Alcotest.(check int) "the next sweep ran to the end of the SRAM"
+    ((0x1000 + heap_size) / 8)
+    (Revoker.words_swept r)
 
 let test_bus_snoop_wired () =
   (* Stores through the Bus must reach the engine's snoop. *)
@@ -383,6 +412,8 @@ let suite =
     Alcotest.test_case "tick_n bit-identical to repeated tick" `Quick
       test_tick_n_equivalence;
     Alcotest.test_case "MMIO start/end/epoch/kick" `Quick test_mmio_interface;
+    Alcotest.test_case "MMIO start/end writes wait for the next kick" `Quick
+      test_mmio_write_mid_sweep;
     Alcotest.test_case "bus store snoop wired" `Quick test_bus_snoop_wired;
     Alcotest.test_case "core model costs" `Quick test_core_model_costs;
     Alcotest.test_case "perf harness blind to dispatch path" `Quick
