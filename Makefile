@@ -1,6 +1,7 @@
 # Entry points for local use and CI.
 #
-# `make ci` is the gate: build, lint (warnings-as-errors), the full
+# `make ci` is the gate: build, lint (warnings-as-errors, and no
+# polymorphic max/min on the allocator path), the full
 # test suite (including the differential oracle between the reference,
 # cached, block, chain and jit dispatch paths: random streams, plus the
 # coremark, allocator and packet-processing programs, which must also
@@ -31,9 +32,19 @@ build:
 	dune build
 
 # Warnings-as-errors pass over the whole tree (the `lint` env profile in
-# the root `dune` file promotes every enabled warning to an error).
+# the root `dune` file promotes every enabled warning to an error), then
+# the allocator path that Table 4 drives must compare with the typed
+# Int.max/Int.min: Stdlib's max/min are polymorphic calls.
+ALLOC_PATH_ML = lib/rtos/allocator.ml lib/rtos/switcher.ml lib/rtos/clock.ml \
+  lib/rtos/sw_revoker.ml lib/mem/sram.ml lib/mem/revbits.ml \
+  lib/core/capability.ml lib/core/bounds.ml lib/uarch/revoker.ml
+
 lint:
 	dune build --profile lint @check
+	@if grep -nE "(^|[^.A-Za-z0-9_'])(max|min)([^A-Za-z0-9_']|$$)" $(ALLOC_PATH_ML); then \
+	  echo "lint: use Int.max/Int.min on the allocator path (lines above)" >&2; \
+	  exit 1; \
+	fi
 
 test: build
 	dune runtest

@@ -71,35 +71,39 @@ let representable { e_field; b_field; t_field } ~cur ~addr =
   && (((at1 + cb1 + d) lsl 9) lor t_field) lsl e land mask33
      = (((at2 + cb2 + d) lsl 9) lor t_field) lsl e land mask33
 
-(* Exponents 15..23 are not encodable (E = 0xf means 24), so the search
-   jumps straight from 14 to 24. *)
+(* [base] and [top] rounded out to a multiple of [2^e]. *)
+let round_base ~base e = base land lnot ((1 lsl e) - 1)
+let round_top ~base ~length e =
+  (base + length + (1 lsl e) - 1) land lnot ((1 lsl e) - 1)
+
+(* The smallest exponent whose rounding of [[base, base+length)] fits the
+   9-bit fields, or -1.  Exponents 15..23 are not encodable (E = 0xf
+   means 24), so the search jumps straight from 14 to 24. *)
 let rec find_exponent ~base ~length e =
-  if e > 24 then None
+  if e > 24 then -1
   else if e > 14 && e < 24 then find_exponent ~base ~length 24
-  else
-    let align = 1 lsl e in
-    let b' = base land lnot (align - 1) in
-    let t' = (base + length + align - 1) land lnot (align - 1) in
-    if t' - b' <= 0x1ff lsl e then Some (e, b', t')
-    else find_exponent ~base ~length (e + 1)
+  else if round_top ~base ~length e - round_base ~base e <= 0x1ff lsl e then e
+  else find_exponent ~base ~length (e + 1)
 
 let set_bounds ~base ~length =
   if base < 0 || length < 0 || base + length > 0x1_0000_0000 then None
   else
-    match find_exponent ~base ~length 0 with
-    | None -> None
-    | Some (e, b', t') ->
-        let bounds =
-          {
-            e_field = (if e = 24 then 0xf else e);
-            b_field = (b' lsr e) land 0x1ff;
-            t_field = (t' lsr e) land 0x1ff;
-          }
-        in
-        (* Defensive check that the fields decode back to the rounded
-           region; this is an invariant of the search above. *)
-        let db, dt = decode bounds ~addr:base in
-        if db = b' && dt = t' then Some (bounds, b', t') else None
+    let e = find_exponent ~base ~length 0 in
+    if e < 0 then None
+    else
+      let b' = round_base ~base e and t' = round_top ~base ~length e in
+      let bounds =
+        {
+          e_field = (if e = 24 then 0xf else e);
+          b_field = (b' lsr e) land 0x1ff;
+          t_field = (t' lsr e) land 0x1ff;
+        }
+      in
+      (* Defensive check that the fields decode back to the rounded
+         region; this is an invariant of the search above. *)
+      if base_of bounds ~addr:base = b' && top_of bounds ~addr:base = t' then
+        Some (bounds, b', t')
+      else None
 
 let set_bounds_exact ~base ~length =
   match set_bounds ~base ~length with

@@ -53,7 +53,7 @@ let roots = [ root_mem_rw; root_executable; root_sealing ]
 let address c = c.addr
 let base c = Bounds.base_of c.bounds ~addr:c.addr
 let top c = Bounds.top_of c.bounds ~addr:c.addr
-let length c = max 0 (top c - base c)
+let length c = Int.max 0 (top c - base c)
 let perms c = c.perms
 let has_perm c p = Perm.Set.mem p c.perms
 let otype c = c.otype
@@ -79,15 +79,14 @@ let incr_address c off = with_address c (c.addr + off)
 
 let set_bounds c ~length ~exact =
   let b = c.addr in
-  let fail = { c with tag = false } in
   if (not c.tag) || is_sealed c then
     (* Still narrow the fields so the untagged result carries the request. *)
     match Bounds.set_bounds ~base:b ~length with
-    | Some (bounds, _, _) -> { fail with bounds }
-    | None -> fail
+    | Some (bounds, _, _) -> { c with bounds; tag = false }
+    | None -> { c with tag = false }
   else
     match Bounds.set_bounds ~base:b ~length with
-    | None -> fail
+    | None -> { c with tag = false }
     | Some (bounds, b', t') ->
         let cur_base = base c and cur_top = top c in
         let monotonic = b' >= cur_base && t' <= cur_top in

@@ -47,10 +47,10 @@ let is_revoked t addr = covers t addr && get t (index t addr)
 
 let set_granules t ~addr ~len v =
   if len > 0 then begin
-    let first = index t (max addr t.heap_base) in
-    let last_addr = min (addr + len - 1) (t.heap_base + t.heap_size - 1) in
-    if last_addr >= max addr t.heap_base then
-      set_range t first (index t last_addr) v
+    let lo = Int.max addr t.heap_base in
+    let last_addr = Int.min (addr + len - 1) (t.heap_base + t.heap_size - 1) in
+    if last_addr >= lo then
+      set_range t (index t lo) (index t last_addr) v
   end
 
 let paint t ~addr ~len = set_granules t ~addr ~len true

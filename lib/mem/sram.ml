@@ -43,26 +43,26 @@ let granule t addr = (addr - t.base) lsr 3
 let granule_tagged t g =
   (Char.code (Bytes.get t.microtags (g lsr 2)) lsr ((g land 3) * 2)) land 3 = 3
 
+(* Keep only the [keep] bits of micro-tag byte [b]. *)
+let mask_microtag_byte t b keep =
+  Bytes.set t.microtags b
+    (Char.unsafe_chr (Char.code (Bytes.get t.microtags b) land keep))
+
 let clear_microtags_for_write t addr len =
-  (* Any data write clears the micro-tag of each 32-bit half it touches.
-     Short writes (the emulator's stores) clear bit by bit; long ones
-     (zeroing, program load) clear whole micro-tag bytes and only the
-     edge bits one at a time. *)
+  (* Any data write clears the micro-tag of each 32-bit half it touches:
+     halves [first, last], i.e. masked updates of the edge bytes [b0] and
+     [b1] and a fill of the whole bytes between them (none for the
+     emulator's stores, which touch one or two halves). *)
   let first = (addr - t.base) lsr 2 in
   let last = (addr + len - 1 - t.base) lsr 2 in
-  if last - first < 16 then
-    for half_idx = first to last do
-      microtag_set t half_idx false
-    done
+  let b0 = first lsr 3 and b1 = last lsr 3 in
+  let below_first = (1 lsl (first land 7)) - 1 in
+  let above_last = 0xff land lnot ((2 lsl (last land 7)) - 1) in
+  if b0 = b1 then mask_microtag_byte t b0 (below_first lor above_last)
   else begin
-    let b0 = (first + 7) lsr 3 and b1 = (last + 1) lsr 3 in
-    for half_idx = first to (b0 lsl 3) - 1 do
-      microtag_set t half_idx false
-    done;
-    Bytes.fill t.microtags b0 (b1 - b0) '\000';
-    for half_idx = b1 lsl 3 to last do
-      microtag_set t half_idx false
-    done
+    mask_microtag_byte t b0 below_first;
+    Bytes.fill t.microtags (b0 + 1) (b1 - b0 - 1) '\000';
+    mask_microtag_byte t b1 above_last
   end
 
 (* Unchecked variants for the machine's resolved-window fast path: the

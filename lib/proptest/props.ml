@@ -678,9 +678,10 @@ let arb_revoker_case =
               rc.rc_snoops)))
     gen_revoker_case
 
-(* Micro-tag clear: a long write clears whole micro-tag bytes.  The
-   reference writes the same bytes one at a time, and a one-byte write
-   takes the per-half bit loop. *)
+(* Micro-tag clear: a write masks the micro-tag bytes at its edges and
+   fills the whole bytes between.  The reference is the per-half rule: a
+   granule's half keeps its micro-tag iff the write misses it.  The data
+   must match the same bytes written one at a time. *)
 
 type clear_case = {
   cc_layout : layout;
@@ -694,6 +695,10 @@ let microtag_clear_agrees (cc : clear_case) =
   let memory () = fst (bulk_memory ~dense:cc.cc_dense cc.cc_layout) in
   let bulk = memory () and per_byte = memory () in
   let addr = bulk_base + cc.cc_addr in
+  let granule g = bulk_base + (8 * g) in
+  let before =
+    Array.init bulk_granules (fun g -> Sram.read_microtags bulk (granule g))
+  in
   let byte i = if cc.cc_blit then (i * 37) land 0xff else 0xa5 in
   if cc.cc_blit then
     Sram.blit_string bulk ~addr (String.init cc.cc_len (fun i -> Char.chr (byte i)))
@@ -701,8 +706,17 @@ let microtag_clear_agrees (cc : clear_case) =
   for i = 0 to cc.cc_len - 1 do
     Sram.write8 per_byte (addr + i) (byte i)
   done;
+  let missed half = half + 4 <= addr || half >= addr + cc.cc_len in
+  Array.iteri
+    (fun g (lo, hi) ->
+      let a = granule g in
+      let expect = (lo && missed a, hi && missed (a + 4)) in
+      if Sram.read_microtags bulk a <> expect then
+        QCheck.Test.fail_reportf "granule 0x%x: micro-tags differ from the \
+                                  per-half rule" a)
+    before;
   if Sram.digest bulk <> Sram.digest per_byte then
-    QCheck.Test.fail_reportf "bulk and per-half micro-tag clears differ";
+    QCheck.Test.fail_reportf "bulk and per-byte writes differ";
   true
 
 let arb_clear_case =
@@ -715,7 +729,8 @@ let arb_clear_case =
         (if cc.cc_blit then "blit" else "fill")
         cc.cc_addr cc.cc_len)
     (let* layout = gen_layout in
-     (* on both sides of the 16-half (64-byte) cut-over *)
+     (* writes inside one micro-tag byte, across two or three, and long
+        ones *)
      let* len = frequency [ (2, 1 -- 63); (3, 56 -- 80); (2, 64 -- 600) ] in
      let* addr = int_bound (bulk_size - len) and* blit = bool
      and* dense = bool in

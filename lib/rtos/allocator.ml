@@ -34,14 +34,20 @@ type t = {
   quarantine_threshold : int;
   flute_poll_quirk : bool;
   (* Free lists: exact small bins for chunk sizes 16..512, then a single
-     address-ordered large list (first fit). *)
+     large list, newest first (first fit). *)
   small : int list array;
+  mutable occupied : int;  (* bit i set iff [small.(i) <> []] *)
   mutable large : int list;
   mutable quarantine : qlist list;  (** newest first; bounded by the epoch rule *)
   mutable quarantine_bytes : int;
   mutable hw : Revoker.t option;
   mutable sw : Sw_revoker.t option;
-  mutable st : stats;
+  mutable mallocs : int;
+  mutable frees : int;
+  mutable sweeps : int;
+  mutable sweep_cycles : int;
+  mutable quarantine_peak : int;
+  mutable live_bytes : int;
   mutable in_revoke : bool;
   mutable wait_ctx_pair : int;
       (* cycles of a context-switch pair charged while a thread blocks on
@@ -63,7 +69,6 @@ let min_chunk = 16
 let read_head t chunk = Sram.read32 t.sram chunk
 let size_of_head head = head land lnot 7
 let chunk_size t chunk = size_of_head (read_head t chunk)
-let in_use t chunk = read_head t chunk land fl_in_use <> 0
 let prev_in_use t chunk = read_head t chunk land fl_prev_in_use <> 0
 
 let write_head t chunk ~size ~used ~prev_used =
@@ -84,10 +89,10 @@ let write_footer t chunk size =
 
 let read_prev_size t chunk = Sram.read32 t.sram (chunk - 4)
 let heap_end t = t.heap_base + t.heap_size
-let next_chunk t chunk = chunk + chunk_size t chunk
 
-let set_prev_in_use_of_next t chunk v =
-  let n = next_chunk t chunk in
+(* [size] is the size just written to [chunk]'s header. *)
+let set_prev_in_use_of_next t chunk size v =
+  let n = chunk + size in
   if n < heap_end t then begin
     let head = read_head t n in
     let head = if v then head lor fl_prev_in_use else head land lnot fl_prev_in_use in
@@ -97,19 +102,34 @@ let set_prev_in_use_of_next t chunk v =
 
 (* --- bins -------------------------------------------------------------- *)
 
+(* Small bins 0..62 hold chunk sizes 16..512, so [occupied] fits them in
+   one OCaml int. *)
 let bin_index size = if size <= 512 then (size / 8) - 2 else -1
 
 let bin_push t chunk size =
   Clock.compute t.clock 3;
   match bin_index size with
   | -1 -> t.large <- chunk :: t.large
-  | i -> t.small.(i) <- chunk :: t.small.(i)
+  | i ->
+      t.small.(i) <- chunk :: t.small.(i);
+      t.occupied <- t.occupied lor (1 lsl i)
+
+(* A chunk sits in its bin exactly once ([check_invariants]), so removing
+   the first match is removing every match; the rest keeps its order. *)
+let rec remove_first (chunk : int) = function
+  | [] -> []
+  | c :: rest -> if c = chunk then rest else c :: remove_first chunk rest
 
 let bin_remove t chunk size =
   Clock.compute t.clock 3;
   match bin_index size with
-  | -1 -> t.large <- List.filter (fun c -> c <> chunk) t.large
-  | i -> t.small.(i) <- List.filter (fun c -> c <> chunk) t.small.(i)
+  | -1 -> t.large <- remove_first chunk t.large
+  | i -> (
+      match remove_first chunk t.small.(i) with
+      | [] ->
+          t.small.(i) <- [];
+          t.occupied <- t.occupied land lnot (1 lsl i)
+      | l -> t.small.(i) <- l)
 
 (* --- create ------------------------------------------------------------ *)
 
@@ -138,22 +158,20 @@ let create ?(temporal = Software) ?quarantine_threshold
       quarantine_threshold =
         (match quarantine_threshold with Some q -> q | None -> heap_size / 2);
       flute_poll_quirk;
-      small = Array.make 64 [];
+      small = Array.make 63 [];
+      occupied = 0;
       large = [];
       quarantine = [];
       quarantine_bytes = 0;
       hw = None;
       sw = None;
       wait_ctx_pair = 0;
-      st =
-        {
-          mallocs = 0;
-          frees = 0;
-          sweeps = 0;
-          sweep_cycles = 0;
-          quarantine_peak = 0;
-          live_bytes = 0;
-        };
+      mallocs = 0;
+      frees = 0;
+      sweeps = 0;
+      sweep_cycles = 0;
+      quarantine_peak = 0;
+      live_bytes = 0;
       in_revoke = false;
     }
   in
@@ -174,34 +192,53 @@ let epoch t =
       match t.hw with Some h -> Revoker.epoch h | None -> 0)
   | Baseline | Metadata -> 0
 
-let stats t = t.st
+let stats t =
+  {
+    mallocs = t.mallocs;
+    frees = t.frees;
+    sweeps = t.sweeps;
+    sweep_cycles = t.sweep_cycles;
+    quarantine_peak = t.quarantine_peak;
+    live_bytes = t.live_bytes;
+  }
 
 (* --- free-chunk insertion with coalescing ------------------------------ *)
 
+(* Each chunk visited has its header read once: reads charge no cycles,
+   so where they happen does not change the ledger. *)
+
+let place_free t chunk size ~prev_used =
+  write_head t chunk ~size ~used:false ~prev_used;
+  write_footer t chunk size;
+  set_prev_in_use_of_next t chunk size false;
+  bin_push t chunk size
+
 let insert_free t chunk size =
-  let chunk = ref chunk and size = ref size in
   (* Forward coalesce. *)
-  let n = !chunk + !size in
-  if n < heap_end t && not (in_use t n) then begin
-    let nsize = chunk_size t n in
-    bin_remove t n nsize;
-    size := !size + nsize;
-    Clock.word_ops t.clock 2
-  end;
-  (* Backward coalesce via the boundary tag. *)
-  if !chunk > t.heap_base && not (prev_in_use t !chunk) then begin
-    let psize = read_prev_size t !chunk in
+  let n = chunk + size in
+  let size =
+    if n < heap_end t then
+      let nhead = read_head t n in
+      if nhead land fl_in_use <> 0 then size
+      else begin
+        let nsize = size_of_head nhead in
+        bin_remove t n nsize;
+        Clock.word_ops t.clock 2;
+        size + nsize
+      end
+    else size
+  in
+  (* Backward coalesce via the boundary tag.  Without it [chunk] is the
+     heap's first chunk or its predecessor is in use. *)
+  if chunk > t.heap_base && read_head t chunk land fl_prev_in_use = 0 then begin
+    let psize = read_prev_size t chunk in
     Clock.word_ops t.clock 1;
-    let p = !chunk - psize in
+    let p = chunk - psize in
     bin_remove t p psize;
-    chunk := p;
-    size := !size + psize
-  end;
-  write_head t !chunk ~size:!size ~used:false
-    ~prev_used:(!chunk = t.heap_base || prev_in_use t !chunk);
-  write_footer t !chunk !size;
-  set_prev_in_use_of_next t !chunk false;
-  bin_push t !chunk !size
+    place_free t p (size + psize)
+      ~prev_used:(p = t.heap_base || prev_in_use t p)
+  end
+  else place_free t chunk size ~prev_used:true
 
 (* --- allocation --------------------------------------------------------- *)
 
@@ -209,55 +246,67 @@ let align_up v a = (v + a - 1) land lnot (a - 1)
 
 (* Bounds and alignment the capability encoding demands (3.2.3). *)
 let layout_of_request size =
-  let size = max 1 size in
+  let size = Int.max 1 size in
   let bound_len = if size <= 511 then size else Bounds.crrl size in
-  let mem_len = align_up (max 8 bound_len) 8 in
+  let mem_len = align_up (Int.max 8 bound_len) 8 in
   let mask = Bounds.cram size in
-  let align = max 8 ((lnot mask land 0xFFFF_FFFF) + 1) in
+  let align = Int.max 8 ((lnot mask land 0xFFFF_FFFF) + 1) in
   (bound_len, mem_len, align)
 
-(* Does [chunk] fit a [mem_len]-byte object aligned to [align]?  Returns
-   the data address if so. *)
-let fits t chunk mem_len align =
-  let csize = chunk_size t chunk in
+(* The data address of a [mem_len]-byte object aligned to [align] in the
+   [csize]-byte [chunk], or -1 if it does not fit. *)
+let fit_data chunk csize mem_len align =
   let data = chunk + 8 in
   let adata = align_up data align in
   (* A nonzero lead must leave room for a minimal free chunk. *)
   let adata = if adata = data || adata - data >= min_chunk then adata
     else align_up (data + min_chunk) align
   in
-  if adata + mem_len <= chunk + csize then Some adata else None
+  if adata + mem_len <= chunk + csize then adata else -1
 
+let rec scan_list t mem_len align = function
+  | [] -> -1
+  | c :: rest ->
+      Clock.compute t.clock 3;
+      if fit_data c (chunk_size t c) mem_len align >= 0 then c
+      else scan_list t mem_len align rest
+
+(* Index of the lowest set bit of [m <> 0], by binary search. *)
+let lowest_bit m =
+  let i = if m land 0xFFFF_FFFF = 0 then 32 else 0 in
+  let i = if (m lsr i) land 0xFFFF = 0 then i + 16 else i in
+  let i = if (m lsr i) land 0xFF = 0 then i + 8 else i in
+  let i = if (m lsr i) land 0xF = 0 then i + 4 else i in
+  let i = if (m lsr i) land 0x3 = 0 then i + 2 else i in
+  if (m lsr i) land 0x1 = 0 then i + 1 else i
+
+(* [bins] masks [occupied] to the bins still to try; empty bins charge no
+   cycles, so jumping over them is exact. *)
+let rec scan_bins t mem_len align bins =
+  if bins = 0 then scan_list t mem_len align t.large
+  else
+    let c = scan_list t mem_len align t.small.(lowest_bit bins) in
+    if c >= 0 then c else scan_bins t mem_len align (bins land (bins - 1))
+
+(* The first chunk, bins in size order then the large list, that fits;
+   -1 if none does. *)
 let find_fit t mem_len align =
   Clock.compute t.clock 4;
-  let try_chunk chunk =
-    Clock.compute t.clock 3;
-    Option.map (fun adata -> (chunk, adata)) (fits t chunk mem_len align)
-  in
-  let rec scan_list = function
-    | [] -> None
-    | c :: rest -> (
-        match try_chunk c with Some hit -> Some hit | None -> scan_list rest)
-  in
-  let rec scan_bins i =
-    if i >= 64 then scan_list t.large
-    else
-      match scan_list t.small.(i) with
-      | Some hit -> Some hit
-      | None -> scan_bins (i + 1)
-  in
-  let start = max 0 (bin_index (min 512 (mem_len + 8))) in
-  scan_bins start
+  let start = Int.max 0 (bin_index (Int.min 512 (mem_len + 8))) in
+  scan_bins t mem_len align (t.occupied land (-1 lsl start))
 
-let carve t chunk adata mem_len bound_len =
-  let csize = chunk_size t chunk in
+let carve t chunk mem_len align bound_len =
+  let head = read_head t chunk in
+  let csize = size_of_head head in
+  let prev_used = head land fl_prev_in_use <> 0 in
+  let adata = fit_data chunk csize mem_len align in
   let cend = chunk + csize in
   bin_remove t chunk csize;
   let achunk = adata - 8 in
   (* Leading remainder becomes a free chunk. *)
   if achunk > chunk then begin
     let lead = achunk - chunk in
-    write_head t chunk ~size:lead ~used:false ~prev_used:(prev_in_use t chunk);
+    write_head t chunk ~size:lead ~used:false ~prev_used;
     write_footer t chunk lead;
     bin_push t chunk lead
   end;
@@ -266,8 +315,7 @@ let carve t chunk adata mem_len bound_len =
   (* A carved lead chunk is free, so the allocation's prev_in_use is
      false; otherwise inherit the original chunk's flag. *)
   let aprev =
-    if achunk > chunk then false
-    else achunk = t.heap_base || prev_in_use t chunk
+    if achunk > chunk then false else achunk = t.heap_base || prev_used
   in
   write_head t achunk ~size:asize ~used:true ~prev_used:aprev;
   write_bound_len t achunk bound_len;
@@ -278,7 +326,7 @@ let carve t chunk adata mem_len bound_len =
     write_footer t tchunk tail;
     bin_push t tchunk tail
   end
-  else set_prev_in_use_of_next t achunk true;
+  else set_prev_in_use_of_next t achunk asize true;
   achunk
 
 (* --- revocation --------------------------------------------------------- *)
@@ -362,7 +410,7 @@ let revoke_now t =
         match t.sw with
         | Some s ->
             Sw_revoker.sweep s ~start ~stop;
-            t.st <- { t.st with sweeps = t.st.sweeps + 1 }
+            t.sweeps <- t.sweeps + 1
         | None -> failwith "Allocator: no software revoker attached")
     | Hardware -> (
         match t.hw with
@@ -370,10 +418,9 @@ let revoke_now t =
             Revoker.kick h ~start ~stop;
             Clock.compute t.clock 20;
             hw_wait t h;
-            t.st <- { t.st with sweeps = t.st.sweeps + 1 }
+            t.sweeps <- t.sweeps + 1
         | None -> failwith "Allocator: no hardware revoker attached"));
-    t.st <-
-      { t.st with sweep_cycles = t.st.sweep_cycles + Clock.cycles t.clock - c0 };
+    t.sweep_cycles <- t.sweep_cycles + Clock.cycles t.clock - c0;
     release_quarantine t;
     t.in_revoke <- false
   end
@@ -389,29 +436,26 @@ let make_cap t adata bound_len =
 
 let rec malloc_inner t size retried =
   let bound_len, mem_len, align = layout_of_request size in
-  match find_fit t mem_len align with
-  | Some (chunk, adata) ->
-      let achunk = carve t chunk adata mem_len bound_len in
-      if t.temporal = Metadata then begin
-        (* Metadata config reuses immediately; clear stale paint now. *)
-        Revbits.clear t.rev ~addr:(achunk + 8) ~len:(chunk_size t achunk - 8);
-        Clock.word_ops t.clock (1 + ((chunk_size t achunk - 8) / 256))
-      end;
-      t.st <-
-        {
-          t.st with
-          mallocs = t.st.mallocs + 1;
-          live_bytes = t.st.live_bytes + mem_len;
-        };
-      Ok (make_cap t (achunk + 8) bound_len)
-  | None ->
-      if (not retried) && (t.temporal = Software || t.temporal = Hardware)
-      then begin
-        (* Low on memory: force a pass and retry (5.1). *)
-        revoke_now t;
-        malloc_inner t size true
-      end
-      else Error Out_of_memory
+  let chunk = find_fit t mem_len align in
+  if chunk >= 0 then begin
+    let achunk = carve t chunk mem_len align bound_len in
+    if t.temporal = Metadata then begin
+      (* Metadata config reuses immediately; clear stale paint now. *)
+      let dlen = chunk_size t achunk - 8 in
+      Revbits.clear t.rev ~addr:(achunk + 8) ~len:dlen;
+      Clock.word_ops t.clock (1 + (dlen / 256))
+    end;
+    t.mallocs <- t.mallocs + 1;
+    t.live_bytes <- t.live_bytes + mem_len;
+    Ok (make_cap t (achunk + 8) bound_len)
+  end
+  else if (not retried) && (t.temporal = Software || t.temporal = Hardware)
+  then begin
+    (* Low on memory: force a pass and retry (5.1). *)
+    revoke_now t;
+    malloc_inner t size true
+  end
+  else Error Out_of_memory
 
 let malloc t size =
   Clock.compute t.clock 10;
@@ -445,11 +489,7 @@ let quarantine_push t chunk size =
       t.quarantine <-
         { q_epoch = e; q_chunks = [ chunk ]; q_bytes = size } :: t.quarantine);
   t.quarantine_bytes <- t.quarantine_bytes + size;
-  t.st <-
-    {
-      t.st with
-      quarantine_peak = max t.st.quarantine_peak t.quarantine_bytes;
-    }
+  t.quarantine_peak <- Int.max t.quarantine_peak t.quarantine_bytes
 
 let free t cap =
   Clock.compute t.clock 8;
@@ -458,8 +498,8 @@ let free t cap =
   | Ok chunk ->
       let size = chunk_size t chunk in
       let data = chunk + 8 and dlen = size - 8 in
-      t.st <-
-        { t.st with frees = t.st.frees + 1; live_bytes = t.st.live_bytes - dlen };
+      t.frees <- t.frees + 1;
+      t.live_bytes <- t.live_bytes - dlen;
       (* Freed memory is always zeroed — secrets must not leak across the
          next allocation, whatever the temporal-safety configuration. *)
       Sram.fill t.sram ~addr:data ~len:dlen '\000';
@@ -482,39 +522,57 @@ let free t cap =
 (* --- introspection ------------------------------------------------------ *)
 
 let check_invariants t =
+  (* Quarantined chunks carry the in_use bit (they are not reusable), so
+     distinguish them from live ones via the quarantine list. *)
   let quarantined =
     List.concat_map (fun q -> q.q_chunks) t.quarantine
   in
-  let in_bins chunk =
-    Array.exists (List.mem chunk) t.small || List.mem chunk t.large
-  in
-  let rec walk chunk prev_used =
-    if chunk = heap_end t then Ok ()
+  let bin_of size = match bin_index size with -1 -> t.large | i -> t.small.(i) in
+  (* [free] counts the free chunks walked so far. *)
+  let rec walk chunk prev_used free =
+    if chunk = heap_end t then Ok free
     else if chunk > heap_end t then Error "chunk chain overruns heap"
     else
-      let size = chunk_size t chunk in
+      let head = read_head t chunk in
+      let size = size_of_head head in
       if size < min_chunk then
         Error (Printf.sprintf "chunk 0x%x undersized (%d)" chunk size)
-      else if prev_in_use t chunk <> prev_used then
+      else if (head land fl_prev_in_use <> 0) <> prev_used then
         Error (Printf.sprintf "chunk 0x%x: stale prev_in_use" chunk)
-      else if in_use t chunk then
+      else if head land fl_in_use <> 0 then
         if List.mem chunk quarantined then
           (* Quarantined chunks keep the in_use bit (not reusable), so
              the successor still sees prev_in_use. *)
-          if Revbits.is_revoked t.rev (chunk + 8) then walk (chunk + size) true
+          if Revbits.is_revoked t.rev (chunk + 8) then
+            walk (chunk + size) true free
           else Error (Printf.sprintf "quarantined 0x%x not painted" chunk)
         else if
           t.temporal <> Metadata && Revbits.is_revoked t.rev (chunk + 8)
         then Error (Printf.sprintf "live chunk 0x%x painted" chunk)
-        else walk (chunk + size) true
-      else if not (in_bins chunk) then
-        Error (Printf.sprintf "free chunk 0x%x not in bins" chunk)
+        else walk (chunk + size) true free
+      else if List.length (List.filter (Int.equal chunk) (bin_of size)) <> 1
+      then
+        Error
+          (Printf.sprintf "free chunk 0x%x not exactly once in its bin" chunk)
       else if Sram.read32 t.sram (chunk + size - 4) <> size then
         Error (Printf.sprintf "free chunk 0x%x bad footer" chunk)
-      else walk (chunk + size) false
+      else walk (chunk + size) false (free + 1)
   in
-  (* Quarantined chunks carry the in_use bit (they are not reusable), so
-     distinguish them from live ones via the quarantine list. *)
-  walk t.heap_base true
+  let occupied = ref 0 in
+  Array.iteri
+    (fun i l -> if l <> [] then occupied := !occupied lor (1 lsl i))
+    t.small;
+  let binned =
+    Array.fold_left (fun n l -> n + List.length l) (List.length t.large) t.small
+  in
+  match walk t.heap_base true 0 with
+  | Error _ as e -> e
+  | Ok free when free <> binned ->
+      (* Each free chunk is once in its own bin, so any other entry is a
+         duplicate, a misfiled chunk or one that is not free. *)
+      Error (Printf.sprintf "%d free chunks but %d bin entries" free binned)
+  | Ok _ when !occupied <> t.occupied ->
+      Error "occupied mask disagrees with the small bins"
+  | Ok _ -> Ok ()
 
 let set_wait_ctx_pair t n = t.wait_ctx_pair <- n

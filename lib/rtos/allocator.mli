@@ -51,7 +51,7 @@ val create :
   unit ->
   t
 (** [quarantine_threshold] (bytes of quarantined memory that trigger a
-    revocation pass) defaults to a quarter of the heap.
+    revocation pass) defaults to half the heap, the setting of Table 4.
     [flute_poll_quirk] models the prototype Flute core's lack of a
     revoker-completion interrupt: the waiting thread's periodic polling
     causes memory-access flurries that slow the engine (7.2.2). *)

@@ -22,9 +22,9 @@ let cycles t = t.cycles
 
 let attach_revoker t r = t.hw_revoker <- Some r
 
-(** [advance t n ~mem_busy] passes [n] cycles of which [mem_busy] keep the
-    data bus occupied; the rest feed the revoker. *)
-let advance ?(mem_busy = 0) t n =
+(* [advance] without the optional argument, whose [Some] would allocate
+   on every charge of the allocator's hot path. *)
+let advance_busy t n mem_busy =
   if n > 0 then begin
     t.cycles <- t.cycles + n;
     match t.hw_revoker with
@@ -33,13 +33,15 @@ let advance ?(mem_busy = 0) t n =
     | Some _ | None -> ()
   end
 
+(** [advance t n ~mem_busy] passes [n] cycles of which [mem_busy] keep the
+    data bus occupied; the rest feed the revoker. *)
+let advance ?(mem_busy = 0) t n = advance_busy t n mem_busy
+
 (** Charge an ALU/bookkeeping cost (no bus). *)
-let compute t n = advance t n
+let compute t n = advance_busy t n 0
 
 (** Charge [n] word-sized (32-bit) data accesses. *)
-let word_ops t n =
-  let c = n * (t.params.base + t.params.mem_extra) in
-  advance t c ~mem_busy:n
+let word_ops t n = advance_busy t (n * (t.params.base + t.params.mem_extra)) n
 
 (** Cycles to zero [bytes] of memory with a store loop (the switcher's
     stack clearing, the allocator's free-time zeroing).  One
@@ -52,4 +54,4 @@ let zero_cost t bytes =
 let charge_zero t bytes =
   let granules = (bytes + 7) / 8 in
   let beats = 8 / t.params.bus_bytes in
-  advance t (zero_cost t bytes) ~mem_busy:(granules * beats)
+  advance_busy t (zero_cost t bytes) (granules * beats)

@@ -31,7 +31,9 @@ let make_stack ~base ~size = { stk_base = base; stk_size = size; sp = base + siz
 
 type t = {
   clock : Clock.t;
-  sram : Sram.t option;  (** when present, stack zeroing really writes *)
+  sram : Sram.t option;
+      (** when present, stack zeroing really writes, and a stack outside
+          it raises *)
   hwm_enabled : bool;
   (* switch costs: register save/restore, export validation, sealing *)
   entry_overhead : int;
@@ -54,17 +56,25 @@ let create ?(hwm_enabled = false) ?sram clock =
 let cross_calls t = t.cross_calls
 let bytes_zeroed t = t.bytes_zeroed
 
-let zero t stack ~from ~until =
-  let bytes = max 0 (until - from) in
+(* Zero [\[from, until)].  With an SRAM attached, a range outside it is a
+   stack the switcher cannot clear, which would leak its contents to the
+   next callee: that raises [Invalid_argument] before anything is
+   charged. *)
+let zero t ~from ~until =
+  let bytes = until - from in
   if bytes > 0 then begin
     (match t.sram with
-    | Some sram when Sram.in_range sram ~addr:from ~size:bytes ->
+    | Some sram ->
+        if not (Sram.in_range sram ~addr:from ~size:bytes) then
+          invalid_arg
+            (Printf.sprintf
+               "Switcher.zero: stack range 0x%x-0x%x lies outside the SRAM"
+               from until);
         Sram.fill sram ~addr:from ~len:bytes '\000'
-    | Some _ | None -> ());
+    | None -> ());
     Clock.charge_zero t.clock bytes;
     t.bytes_zeroed <- t.bytes_zeroed + bytes
-  end;
-  ignore stack
+  end
 
 (** [cross_call t stack ~callee_frame ~callee_stack_use f] performs a
     cross-compartment call around [f].  [callee_frame] is the callee's
@@ -79,14 +89,14 @@ let cross_call t stack ~callee_frame ~callee_stack_use f =
   (* Entry zeroing: the region handed to the callee. *)
   if t.hwm_enabled then
     (* Only [hwm, sp) can hold stale caller data below the chop point. *)
-    zero t stack ~from:stack.hwm ~until:sp_at_call
+    zero t ~from:stack.hwm ~until:sp_at_call
   else
     (* No HWM: the whole unused portion must be assumed dirty. *)
-    zero t stack ~from:stack.stk_base ~until:sp_at_call;
+    zero t ~from:stack.stk_base ~until:sp_at_call;
   stack.hwm <- sp_at_call;
   stack.sp <- sp_at_call - callee_frame;
   (* The callee runs on the chopped stack and dirties some of it. *)
-  let use = min callee_stack_use (stack.sp - stack.stk_base) in
+  let use = Int.min callee_stack_use (stack.sp - stack.stk_base) in
   let callee_low = stack.sp - use in
   if callee_low < stack.hwm then stack.hwm <- callee_low;
   let result = f () in
@@ -94,9 +104,9 @@ let cross_call t stack ~callee_frame ~callee_stack_use f =
   Clock.compute t.clock t.return_overhead;
   if t.hwm_enabled then begin
     Clock.compute t.clock 4;
-    zero t stack ~from:stack.hwm ~until:sp_at_call;
+    zero t ~from:stack.hwm ~until:sp_at_call;
     stack.hwm <- sp_at_call
   end
-  else zero t stack ~from:stack.stk_base ~until:sp_at_call;
+  else zero t ~from:stack.stk_base ~until:sp_at_call;
   stack.sp <- sp_at_call;
   result

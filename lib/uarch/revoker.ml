@@ -88,8 +88,8 @@ let kick t ~start ~stop =
        sets the sweep's bounds, so register writes during a sweep
        cannot move them out of range. *)
     let lo = Sram.base t.sram and hi = Sram.base t.sram + Sram.size t.sram in
-    t.pos <- max lo (start land lnot 7);
-    t.end_a <- min hi (stop land lnot 7);
+    t.pos <- Int.max lo (start land lnot 7);
+    t.end_a <- Int.min hi (stop land lnot 7);
     t.s1_live <- false;
     t.s2_live <- false;
     t.stall <- 0;
@@ -207,7 +207,7 @@ let tick t =
 let fast_forward t k =
   let clean live tag dirty = (not live) || not (tag || dirty) in
   let step = if t.pipelined then t.bus_beats else t.bus_beats + 1 in
-  let steps = min (k / step) ((t.end_a - t.pos) / 8) in
+  let steps = Int.min (k / step) ((t.end_a - t.pos) / 8) in
   if
     steps < 2 || t.stall <> 0
     || (not (clean t.s1_live t.s1_tag t.s1_dirty))

@@ -244,7 +244,12 @@ let test_baseline_vulnerable_by_design () =
   Alcotest.(check int) "memory reused immediately" base1 (Capability.base c2);
   Alcotest.(check bool) "stale cap still tagged" true c.Capability.tag
 
-(* qcheck: random alloc/free interleavings keep all invariants. *)
+(* qcheck: random alloc/free interleavings keep all invariants after
+   every operation, under each temporal configuration.  Sizes up to 511
+   bytes are exact and fill the small bins; larger ones take the
+   representable-length padding (3.2.3), above 4088 bytes with a 16-byte
+   or coarser alignment that carves lead chunks; chunks over 512 bytes
+   sit on the large list. *)
 let prop_random_traffic =
   QCheck.Test.make ~name:"random alloc/free traffic keeps heap invariants"
     ~count:60
@@ -253,34 +258,38 @@ let prop_random_traffic =
         ~print:(fun ops ->
           String.concat ","
             (List.map (fun (a, s) -> Printf.sprintf "%b/%d" a s) ops))
-        Gen.(list_size (int_bound 120) (pair bool (int_bound 2000))))
+        Gen.(
+          list_size (int_bound 120)
+            (pair bool
+               (frequency
+                  [ (6, 1 -- 511); (3, 512 -- 4088); (1, 4089 -- 12000) ]))))
     (fun ops ->
-      let s = make ~quarantine_threshold:(16 * 1024) () in
-      let live = ref [] in
-      List.iter
-        (fun (do_alloc, size) ->
-          if do_alloc || !live = [] then (
-            match Allocator.malloc s.alloc (max 1 size) with
-            | Ok c -> live := c :: !live
-            | Error Allocator.Out_of_memory -> ()
-            | Error e ->
-                Alcotest.failf "malloc: %a" Allocator.pp_error e)
-          else
-            match !live with
-            | c :: rest ->
-                live := rest;
-                (match Allocator.free s.alloc c with
-                | Ok () -> ()
-                | Error e -> Alcotest.failf "free: %a" Allocator.pp_error e)
-            | [] -> ())
-        ops;
-      (match Allocator.check_invariants s.alloc with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m);
-      (* every live cap still dereferences: its revbit must be clear *)
       List.for_all
-        (fun c -> not (Revbits.is_revoked s.rev (Capability.base c)))
-        !live)
+        (fun temporal ->
+          let s = make ~temporal ~quarantine_threshold:(16 * 1024) () in
+          let live = ref [] in
+          List.iter
+            (fun (do_alloc, size) ->
+              (if do_alloc || !live = [] then (
+                 match Allocator.malloc s.alloc size with
+                 | Ok c -> live := c :: !live
+                 | Error Allocator.Out_of_memory -> ()
+                 | Error e -> Alcotest.failf "malloc: %a" Allocator.pp_error e)
+               else
+                 match !live with
+                 | c :: rest -> (
+                     live := rest;
+                     match Allocator.free s.alloc c with
+                     | Ok () -> ()
+                     | Error e -> Alcotest.failf "free: %a" Allocator.pp_error e)
+                 | [] -> ());
+              check_inv s)
+            ops;
+          (* every live cap still dereferences: its revbit must be clear *)
+          List.for_all
+            (fun c -> not (Revbits.is_revoked s.rev (Capability.base c)))
+            !live)
+        Allocator.[ Baseline; Metadata; Software; Hardware ])
 
 (* --- switcher ----------------------------------------------------------- *)
 
@@ -319,6 +328,27 @@ let test_switcher_hwm_less_zeroing () =
     (Printf.sprintf "hwm zeroes less (%d < %d)" z_hwm z_no)
     true (z_hwm < z_no / 4);
   Alcotest.(check bool) "hwm cheaper" true (c_hwm < c_no)
+
+(* A stack outside the attached SRAM cannot be cleared: zeroing it must
+   fail loudly, not charge the cycles and leave the stack's contents for
+   the callee.  Without an SRAM the switcher is a cost model only. *)
+let test_switcher_zero_outside_sram () =
+  let clock = Clock.create (Core_model.params_of Core_model.Flute) in
+  let stack () = Switcher.make_stack ~base:0x8000 ~size:1024 in
+  let call sw =
+    Switcher.cross_call sw (stack ()) ~callee_frame:64 ~callee_stack_use:128
+      (fun () -> ())
+  in
+  let sram = Sram.create ~base:0x1000 ~size:2048 in
+  let sw = Switcher.create ~sram clock in
+  (match call sw with
+  | () -> Alcotest.fail "zeroing a stack outside the SRAM returned"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing counted as zeroed" 0 (Switcher.bytes_zeroed sw);
+  let cost_only = Switcher.create clock in
+  call cost_only;
+  Alcotest.(check int) "cost-only switcher counts both zeroings" 2048
+    (Switcher.bytes_zeroed cost_only)
 
 (* --- software revoker batching ------------------------------------------ *)
 
@@ -398,4 +428,6 @@ let suite =
     Alcotest.test_case "context switch cost of HWM CSRs" `Quick
       test_sched_ctx_cost_hwm;
     q prop_random_traffic;
+    Alcotest.test_case "switcher refuses to zero outside its SRAM" `Quick
+      test_switcher_zero_outside_sram;
   ]

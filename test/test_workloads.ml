@@ -2,7 +2,7 @@
    (Table 3), the allocation microbenchmark (Table 4 / Figs 5-6) and the
    IoT application (7.2.3).  These check the qualitative claims of the
    paper's evaluation — who wins, and in which direction each mechanism
-   moves the numbers — not absolute values. *)
+   moves the numbers — and pin a sample of Table 4's absolute values. *)
 
 module Core_model = Cheriot_uarch.Core_model
 module Coremark = Cheriot_workloads.Coremark
@@ -166,6 +166,63 @@ let test_alloc_bench_deterministic () =
   let b = ab Core_model.Ibex Allocator.Hardware true ~size:4096 in
   Alcotest.(check int) "deterministic" a.Alloc_bench.cycles b.Alloc_bench.cycles
 
+(* Exact results of every Table 4 configuration at 32 B on both cores,
+   and of the threshold/16 ablation row, copied from
+   perfbench/pinned.txt: a drift of one cycle anywhere on the allocator,
+   switcher or revoker path fails here without running perfbench. *)
+let table4_pins =
+  Core_model.(Allocator.[
+    ((Flute, Baseline, false), None, 32,
+     "cycles=53018681 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=50331648 quarantine_peak=0");
+    ((Flute, Metadata, false), None, 32,
+     "cycles=53084217 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=50331648 quarantine_peak=0");
+    ((Flute, Software, false), None, 32,
+     "cycles=54522752 iterations=32768 sweeps=9 sweep_cycles=1474560 bytes_zeroed=50331648 quarantine_peak=131080");
+    ((Flute, Hardware, false), None, 32,
+     "cycles=53714516 iterations=32768 sweeps=9 sweep_cycles=666324 bytes_zeroed=50331648 quarantine_peak=131080");
+    ((Flute, Baseline, true), None, 32,
+     "cycles=48758845 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=19922944 quarantine_peak=0");
+    ((Flute, Metadata, true), None, 32,
+     "cycles=48824381 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=19922944 quarantine_peak=0");
+    ((Flute, Software, true), None, 32,
+     "cycles=50262916 iterations=32768 sweeps=9 sweep_cycles=1474560 bytes_zeroed=19922944 quarantine_peak=131080");
+    ((Flute, Hardware, true), None, 32,
+     "cycles=49457488 iterations=32768 sweeps=9 sweep_cycles=669132 bytes_zeroed=19922944 quarantine_peak=131080");
+    ((Ibex, Baseline, false), None, 32,
+     "cycles=59768923 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=50331648 quarantine_peak=0");
+    ((Ibex, Metadata, false), None, 32,
+     "cycles=59899995 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=50331648 quarantine_peak=0");
+    ((Ibex, Software, false), None, 32,
+     "cycles=63681451 iterations=32768 sweeps=9 sweep_cycles=3833856 bytes_zeroed=50331648 quarantine_peak=131080");
+    ((Ibex, Hardware, false), None, 32,
+     "cycles=61318663 iterations=32768 sweeps=9 sweep_cycles=1471068 bytes_zeroed=50331648 quarantine_peak=131080");
+    ((Ibex, Baseline, true), None, 32,
+     "cycles=51707999 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=19922944 quarantine_peak=0");
+    ((Ibex, Metadata, true), None, 32,
+     "cycles=51839071 iterations=32768 sweeps=0 sweep_cycles=0 bytes_zeroed=19922944 quarantine_peak=0");
+    ((Ibex, Software, true), None, 32,
+     "cycles=55620527 iterations=32768 sweeps=9 sweep_cycles=3833856 bytes_zeroed=19922944 quarantine_peak=131080");
+    ((Ibex, Hardware, true), None, 32,
+     "cycles=53268179 iterations=32768 sweeps=9 sweep_cycles=1481508 bytes_zeroed=19922944 quarantine_peak=131080");
+    ((Flute, Hardware, true), Some (256 * 1024 / 16), 1024,
+     "cycles=6451005 iterations=1024 sweeps=64 sweep_cycles=4758272 bytes_zeroed=622592 quarantine_peak=16512");
+  ])
+
+let test_alloc_bench_pins () =
+  List.iter
+    (fun ((core, temporal, hwm), threshold, size, expected) ->
+      let config = { Alloc_bench.core; temporal; hwm } in
+      let r = Alloc_bench.run ?threshold config ~size in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %d B" (Alloc_bench.config_name config) size)
+        expected
+        (Printf.sprintf
+           "cycles=%d iterations=%d sweeps=%d sweep_cycles=%d \
+            bytes_zeroed=%d quarantine_peak=%d"
+           r.Alloc_bench.cycles r.iterations r.sweeps r.sweep_cycles
+           r.bytes_zeroed r.quarantine_peak))
+    table4_pins
+
 let test_iot_app () =
   let r = Iot_app.run ~seconds:3.0 () in
   Alcotest.(check bool)
@@ -213,4 +270,6 @@ let suite =
       test_iot_app_software_revoker_variant;
     Alcotest.test_case "coremark Table 3 cycles agree on every tier" `Quick
       test_coremark_tiers_agree;
+    Alcotest.test_case "Table 4 cells equal their pins" `Quick
+      test_alloc_bench_pins;
   ]
