@@ -6,7 +6,10 @@
 # cached, block, chain and jit dispatch paths: random streams, plus the
 # coremark, allocator and packet-processing programs, which must also
 # form superblocks and eliminate checks; it fails printing the qcheck
-# fuzz seed and shrunk program on any state-hash mismatch), the static
+# fuzz seed and shrunk program on any state-hash mismatch; and the
+# `test/cli.t` cram test, which runs the built `cheriot_sim` and
+# `cheriot_audit` over every known malformed invocation and asserts the
+# 0/1/2 exit contract, so `cheriot_sim` is exercised by a gate), the static
 # firmware audit (`cheriot_audit all`: shipped images audit clean, the
 # bad-image corpus is fully detected), the plan-soundness gate
 # (`cheriot_audit plans`: every jit check plan on the shipped images

@@ -22,8 +22,9 @@
    All image-auditing subcommands accept `--rule ID` to restrict the
    report (shipped, plans) or the corpus selection to one rule.
 
-   Exit codes: 0 clean; 1 findings / corpus failure; 2 analysis error,
-   unknown image or unknown rule.
+   Exit codes ({!Cli}): 0 clean; 1 findings / corpus failure; 2 analysis
+   error, unknown image or rule, a corpus --rule that no corpus image
+   expects (every plan-* id), or a usage error.
 
    JSON schema (see README):
      { "images": [ { "image": <name>,
@@ -97,6 +98,4 @@ let () =
       (Cmd.info "rules" ~doc:"list the rule catalogue")
       Term.(const Driver.rules $ const ())
   in
-  exit
-    (Cmd.eval'
-       (Cmd.group info [ shipped; corpus; all; plans; incremental; rules ]))
+  Cli.run (Cmd.group info [ shipped; corpus; all; plans; incremental; rules ])

@@ -10,7 +10,11 @@
      cheriot_sim coremark --core ibex --cheri --load-filter
      cheriot_sim alloc --core flute --temporal hardware --hwm --size 1024
      cheriot_sim iot --seconds 10
-     cheriot_sim demo --trace                                            *)
+     cheriot_sim demo --trace
+
+   Exit codes ({!Cli}): 0 success; 1 the demo did not halt cleanly; 2 a
+   usage error or a rejected value (a non-positive --size or
+   --iterations).                                                       *)
 
 open Cmdliner
 module Core_model = Cheriot_uarch.Core_model
@@ -21,9 +25,19 @@ let core_arg =
   in
   Arg.(value & opt core Core_model.Ibex & info [ "core" ] ~doc:"flute or ibex")
 
+(* [Invalid_argument] from a workload names the argument value it
+   rejects: one line on stderr, exit 2. *)
+let rejecting f =
+  match f () with
+  | () -> 0
+  | exception Invalid_argument msg ->
+      Printf.eprintf "cheriot_sim: %s\n%!" msg;
+      2
+
 (* --- coremark ---------------------------------------------------------- *)
 
 let coremark core cheri load_filter iterations =
+  rejecting @@ fun () ->
   Cheriot_workloads.Coremark.calibrate ();
   let r =
     Cheriot_workloads.Coremark.run ~iterations
@@ -50,6 +64,7 @@ let coremark_cmd =
 (* --- alloc ------------------------------------------------------------- *)
 
 let alloc core temporal hwm size total =
+  rejecting @@ fun () ->
   let r =
     Cheriot_workloads.Alloc_bench.run ~total
       { Cheriot_workloads.Alloc_bench.core; temporal; hwm }
@@ -98,7 +113,8 @@ let iot seconds =
     "CPU load %.1f%% over %.1fs; %d packets, %d JS frames, %d allocations, \
      %d sweeps@."
     r.Cheriot_workloads.Iot_app.cpu_load_percent r.seconds r.packets
-    r.js_ticks r.allocations r.sweeps
+    r.js_ticks r.allocations r.sweeps;
+  0
 
 let iot_cmd =
   let seconds =
@@ -123,15 +139,17 @@ let demo trace dispatch =
           Format.printf "%a@." Trace.pp_entry e)
     else Machine.run ~fuel:10_000 ~dispatch m
   in
-  (match result with
+  match result with
   | Machine.Step_halted ->
       Format.printf
         "halted after %d instructions; app received %d from the svc \
          compartment@."
         steps
-        (Machine.reg_int m Insn.reg_a0)
-  | _ -> Format.printf "did not halt cleanly@.");
-  ()
+        (Machine.reg_int m Insn.reg_a0);
+      0
+  | _ ->
+      Format.printf "did not halt cleanly@.";
+      1
 
 let demo_cmd =
   let trace =
@@ -163,4 +181,4 @@ let () =
     Cmd.info "cheriot_sim" ~version:"1.0"
       ~doc:"CHERIoT simulator driver (MICRO 2023 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group info [ coremark_cmd; alloc_cmd; iot_cmd; demo_cmd ]))
+  Cli.run (Cmd.group info [ coremark_cmd; alloc_cmd; iot_cmd; demo_cmd ])

@@ -955,7 +955,7 @@ let analyze_compartment ~call_summaries ~field_sensitive ~key (t : Loader.t)
     (fun (f : Rules.finding) ->
       emit acc ?pc:f.Rules.pc ~compartment:f.Rules.compartment f.Rules.rule
         f.Rules.detail)
-    (Irq.analyze ~comp:name ~cfg ~entries:posture_entries ());
+    (Irq.analyze ~comp:name ~cfg ~entries:posture_entries);
   let exports =
     List.map
       (fun (e : Compartment.export) ->

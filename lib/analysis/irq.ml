@@ -28,14 +28,13 @@
    availability argument needs disabled regions to be "short, bounded";
    64 instructions matches the switcher-sized critical sections the RTOS
    itself uses. *)
-let default_budget = 64
+let budget = 64
 
 type posture = { mutable on : bool; mutable off : bool }
 
 (* [entries]: (entry pc, declared posture) — [Some true] enabled,
    [Some false] disabled, [None] inherited. *)
-let analyze ~comp ~(cfg : Cfg.t) ?(budget = default_budget) ~entries () :
-    Rules.finding list =
+let analyze ~comp ~(cfg : Cfg.t) ~entries : Rules.finding list =
   let findings = ref [] in
   let flagged = Hashtbl.create 8 in
   let emit pc rule detail =

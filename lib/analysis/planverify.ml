@@ -392,8 +392,12 @@ let dedupe plans =
    first enters it, so a final sweep still force-compiles what the run
    left uncompiled in the translation cache: a superblock installed over
    a block that is not re-entered before the run ends.  On the shipped
-   images the sweep adds no plan. *)
+   images the sweep adds no plan.  Collection forces [m] hot
+   ([hot_threshold] 2, [hot_adaptive] off) so every reachable block
+   compiles; callers need not. *)
 let collect ?(fuel = 2_000_000) (m : Machine.t) =
+  m.Machine.hot_threshold <- 2;
+  m.Machine.hot_adaptive <- false;
   let acc = ref [] in
   let saved = m.Machine.jit_validator in
   m.Machine.jit_validator <-

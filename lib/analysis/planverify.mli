@@ -70,8 +70,9 @@ type plan = {
 }
 
 val collect : ?fuel:int -> Cheriot_isa.Machine.t -> plan list
-(** Run the machine under [Dispatch_jit] (default 2M fuel) and return
-    every plan compiled along the way — captured at compile time through
+(** Run the machine under [Dispatch_jit] (default 2M fuel), forced hot
+    ([hot_threshold] 2, [hot_adaptive] off: the settings stay on [m]
+    afterwards), and return every plan compiled along the way — captured at compile time through
     the validator hook, so cache evictions lose nothing — deduplicated
     by (start address, instruction array).  Blocks the run left
     uncompiled in the translation cache (a superblock installed over a

@@ -16,10 +16,8 @@ type 'a t = {
   mutable flushes : int;
 }
 
-let create ?(size_log2 = 11) ~dummy () =
-  if size_log2 < 1 || size_log2 > 24 then
-    invalid_arg "Decode_cache.create: size_log2 out of range";
-  let n = 1 lsl size_log2 in
+let create ~dummy () =
+  let n = 2048 in
   {
     tags = Array.make n (-1);
     payloads = Array.make n dummy;
@@ -84,10 +82,10 @@ type 'a ranged = {
   mutable chain_epoch : int;
 }
 
-let ranged ?size_log2 ~max_span ~dummy () =
+let ranged ~max_span ~dummy () =
   if max_span <= 0 || max_span land 3 <> 0 then
     invalid_arg "Decode_cache.ranged: max_span must be a positive word multiple";
-  let rc = create ?size_log2 ~dummy () in
+  let rc = create ~dummy () in
   {
     rc;
     los = Array.make (Array.length rc.tags) 0;

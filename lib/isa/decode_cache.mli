@@ -45,10 +45,10 @@ type stats = {
   flushes : int;  (** whole-cache flushes *)
 }
 
-val create : ?size_log2:int -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] is an empty cache with [2^size_log2] entries
-    (default 11, i.e. 2048 words / 8 KiB of code coverage).  [dummy] is
-    stored in empty payload slots and never returned by a hit. *)
+val create : dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] is an empty cache with 2048 entries (8 KiB of
+    code coverage).  [dummy] is stored in empty payload slots and never
+    returned by a hit. *)
 
 (** {1 Filling}
 
@@ -103,7 +103,7 @@ val bump_chain_epoch : 'a ranged -> unit
 (** Invalidate every chained edge in O(1) (used by the machine when a
     translation is replaced wholesale, e.g. superblock installation). *)
 
-val ranged : ?size_log2:int -> max_span:int -> dummy:'a -> unit -> 'a ranged
+val ranged : max_span:int -> dummy:'a -> unit -> 'a ranged
 (** [max_span] is the largest [hi - lo] any entry may cover (a positive
     multiple of 4); it bounds the store-snoop probe count. *)
 

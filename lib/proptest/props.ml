@@ -443,10 +443,9 @@ let scenario_audits_clean (sc : Scenario.t) =
     epilogue exercise on every cross-compartment call. *)
 let scenario_plans_sound (sc : Scenario.t) =
   let l = Scenario.link ~instrument:true sc in
-  let m = l.Scenario.t.Loader.machine in
-  m.Machine.hot_threshold <- 2;
-  m.Machine.hot_adaptive <- false;
-  let plans = Planverify.collect ~fuel:scenario_fuel m in
+  let plans =
+    Planverify.collect ~fuel:scenario_fuel l.Scenario.t.Loader.machine
+  in
   List.iter
     (fun (p : Planverify.plan) ->
       match Planverify.verify_plan p with

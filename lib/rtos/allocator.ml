@@ -12,14 +12,7 @@ let pp_error fmt = function
   | Invalid_free s -> Format.fprintf fmt "invalid free: %s" s
   | Double_free -> Format.pp_print_string fmt "double free"
 
-type stats = {
-  mallocs : int;
-  frees : int;
-  sweeps : int;
-  sweep_cycles : int;
-  quarantine_peak : int;
-  live_bytes : int;
-}
+type stats = { sweeps : int; sweep_cycles : int; quarantine_peak : int }
 
 type qlist = { q_epoch : int; mutable q_chunks : int list; mutable q_bytes : int }
 
@@ -42,12 +35,9 @@ type t = {
   mutable quarantine_bytes : int;
   mutable hw : Revoker.t option;
   mutable sw : Sw_revoker.t option;
-  mutable mallocs : int;
-  mutable frees : int;
   mutable sweeps : int;
   mutable sweep_cycles : int;
   mutable quarantine_peak : int;
-  mutable live_bytes : int;
   mutable in_revoke : bool;
   mutable wait_ctx_pair : int;
       (* cycles of a context-switch pair charged while a thread blocks on
@@ -166,12 +156,9 @@ let create ?(temporal = Software) ?quarantine_threshold
       hw = None;
       sw = None;
       wait_ctx_pair = 0;
-      mallocs = 0;
-      frees = 0;
       sweeps = 0;
       sweep_cycles = 0;
       quarantine_peak = 0;
-      live_bytes = 0;
       in_revoke = false;
     }
   in
@@ -194,12 +181,9 @@ let epoch t =
 
 let stats t =
   {
-    mallocs = t.mallocs;
-    frees = t.frees;
     sweeps = t.sweeps;
     sweep_cycles = t.sweep_cycles;
     quarantine_peak = t.quarantine_peak;
-    live_bytes = t.live_bytes;
   }
 
 (* --- free-chunk insertion with coalescing ------------------------------ *)
@@ -368,10 +352,8 @@ let hw_wait t h =
     if t.flute_poll_quirk then begin
       Clock.advance t.clock 400;
       (* poll flurry: scheduler wakes the thread, which re-checks the
-         epoch — memory traffic that starves the engine *)
-      t.clock.Clock.revoker_enabled <- false;
-      Clock.advance t.clock 40 ~mem_busy:24;
-      t.clock.Clock.revoker_enabled <- true;
+         epoch — memory traffic that starves the engine of every slot *)
+      Clock.advance t.clock 40 ~mem_busy:40;
       guard := !guard + 440
     end
     else begin
@@ -445,8 +427,6 @@ let rec malloc_inner t size retried =
       Revbits.clear t.rev ~addr:(achunk + 8) ~len:dlen;
       Clock.word_ops t.clock (1 + (dlen / 256))
     end;
-    t.mallocs <- t.mallocs + 1;
-    t.live_bytes <- t.live_bytes + mem_len;
     Ok (make_cap t (achunk + 8) bound_len)
   end
   else if (not retried) && (t.temporal = Software || t.temporal = Hardware)
@@ -498,8 +478,6 @@ let free t cap =
   | Ok chunk ->
       let size = chunk_size t chunk in
       let data = chunk + 8 and dlen = size - 8 in
-      t.frees <- t.frees + 1;
-      t.live_bytes <- t.live_bytes - dlen;
       (* Freed memory is always zeroed — secrets must not leak across the
          next allocation, whatever the temporal-safety configuration. *)
       Sram.fill t.sram ~addr:data ~len:dlen '\000';

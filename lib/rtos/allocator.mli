@@ -29,12 +29,9 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 type stats = {
-  mallocs : int;
-  frees : int;
   sweeps : int;
   sweep_cycles : int;  (** cycles spent in (or waiting on) revocation *)
   quarantine_peak : int;
-  live_bytes : int;
 }
 
 type t

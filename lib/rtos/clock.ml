@@ -10,13 +10,9 @@ type t = {
   params : Cheriot_uarch.Core_model.params;
   mutable cycles : int;
   mutable hw_revoker : Cheriot_uarch.Revoker.t option;
-  mutable revoker_enabled : bool;
-      (** set false to model phases whose memory traffic starves the
-          engine (the Flute polling quirk of 7.2.2) *)
 }
 
-let create params =
-  { params; cycles = 0; hw_revoker = None; revoker_enabled = true }
+let create params = { params; cycles = 0; hw_revoker = None }
 
 let cycles t = t.cycles
 
@@ -28,9 +24,8 @@ let advance_busy t n mem_busy =
   if n > 0 then begin
     t.cycles <- t.cycles + n;
     match t.hw_revoker with
-    | Some r when t.revoker_enabled ->
-        Cheriot_uarch.Revoker.tick_n r (n - mem_busy)
-    | Some _ | None -> ()
+    | Some r -> Cheriot_uarch.Revoker.tick_n r (n - mem_busy)
+    | None -> ()
   end
 
 (** [advance t n ~mem_busy] passes [n] cycles of which [mem_busy] keep the

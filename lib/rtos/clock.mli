@@ -7,9 +7,6 @@ type t = {
   params : Cheriot_uarch.Core_model.params;
   mutable cycles : int;
   mutable hw_revoker : Cheriot_uarch.Revoker.t option;
-  mutable revoker_enabled : bool;
-      (** set false to model phases whose memory traffic starves the
-          engine (the Flute polling quirk of paper 7.2.2) *)
 }
 
 val create : Cheriot_uarch.Core_model.params -> t

@@ -11,7 +11,6 @@
 type state = Ready | Running | Sleeping of int  (** wake cycle *)
 
 type thread = {
-  tid : int;
   tname : string;
   priority : int;  (** higher runs first *)
   stack : Switcher.stack;
@@ -45,15 +44,7 @@ let ctx_switch_cost t =
   (caps * beats) + csrs + 12
 
 let spawn t ~name ~priority ~stack =
-  let th =
-    {
-      tid = List.length t.threads + 1;
-      tname = name;
-      priority;
-      stack;
-      tstate = Ready;
-    }
-  in
+  let th = { tname = name; priority; stack; tstate = Ready } in
   t.threads <- t.threads @ [ th ];
   th
 

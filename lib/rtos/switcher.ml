@@ -38,7 +38,6 @@ type t = {
   (* switch costs: register save/restore, export validation, sealing *)
   entry_overhead : int;
   return_overhead : int;
-  mutable cross_calls : int;
   mutable bytes_zeroed : int;
 }
 
@@ -49,11 +48,9 @@ let create ?(hwm_enabled = false) ?sram clock =
     hwm_enabled;
     entry_overhead = 340;
     return_overhead = 300;
-    cross_calls = 0;
     bytes_zeroed = 0;
   }
 
-let cross_calls t = t.cross_calls
 let bytes_zeroed t = t.bytes_zeroed
 
 (* Zero [\[from, until)].  With an SRAM attached, a range outside it is a
@@ -82,7 +79,6 @@ let zero t ~from ~until =
     [callee_stack_use] is how deep the callee actually dirties the stack
     (bounded by the remaining stack). *)
 let cross_call t stack ~callee_frame ~callee_stack_use f =
-  t.cross_calls <- t.cross_calls + 1;
   Clock.compute t.clock t.entry_overhead;
   if t.hwm_enabled then Clock.compute t.clock 4;
   let sp_at_call = stack.sp in

@@ -47,20 +47,15 @@ type config = {
   core : core;
   cheri : bool;
   load_filter : bool;
-  hw_revoker : bool;
-  stack_hwm : bool;
 }
 
-let config ?(cheri = true) ?(load_filter = true) ?(hw_revoker = false)
-    ?(stack_hwm = false) core =
-  { core; cheri; load_filter; hw_revoker; stack_hwm }
+let config ?(cheri = true) ?(load_filter = true) core =
+  { core; cheri; load_filter }
 
 let config_name c =
-  Printf.sprintf "%s/%s%s%s%s" (name c.core)
+  Printf.sprintf "%s/%s%s" (name c.core)
     (if c.cheri then "CHERIoT" else "RV32E")
     (if c.cheri && c.load_filter then "+filter" else "")
-    (if c.hw_revoker then "+hwrev" else "")
-    (if c.stack_hwm then "+hwm" else "")
 
 (* Bus beats needed for an access of [bytes] on a [bus_bytes]-wide bus. *)
 let beats ~bus_bytes bytes = (bytes + bus_bytes - 1) / bus_bytes

@@ -38,12 +38,9 @@ type config = {
   core : core;
   cheri : bool;  (** capability mode vs RV32E baseline *)
   load_filter : bool;
-  hw_revoker : bool;
-  stack_hwm : bool;  (** stack high-water-mark assist (5.2.1) *)
 }
 
-val config : ?cheri:bool -> ?load_filter:bool -> ?hw_revoker:bool ->
-  ?stack_hwm:bool -> core -> config
+val config : ?cheri:bool -> ?load_filter:bool -> core -> config
 val config_name : config -> string
 
 val cycles_of_event : params -> load_filter:bool ->

@@ -55,6 +55,8 @@ let paper_sizes =
 let allocator_stack_use = 208
 
 let run ?(total = 1 lsl 20) ?threshold config ~size =
+  if size < 1 then
+    invalid_arg (Printf.sprintf "Alloc_bench.run: size %d is not positive" size);
   let params = Core_model.params_of config.core in
   let clock = Clock.create params in
   let sram = Sram.create ~base:stack_base ~size:(heap_base + heap_size - stack_base) in

@@ -398,8 +398,14 @@ let score_scale = ref 1.0
 
 (** Build a machine with the CoreMark image loaded and registers set up,
     ready to run to [Ebreak] — shared by {!run} and the dispatch bench,
-    which runs it under every [Machine.run] tier. *)
+    which runs it under every [Machine.run] tier.  [iterations] below 1
+    raises [Invalid_argument]: the loop is a do-while on [s1], which
+    would count down through 2^32 iterations. *)
 let setup ?(iterations = 10) (config : Core_model.config) =
+  if iterations < 1 then
+    invalid_arg
+      (Printf.sprintf "Coremark.setup: iterations %d is not positive"
+         iterations);
   let bus = Bus.create () in
   let sram = Sram.create ~base:code_base ~size:0x30000 in
   Bus.add_sram bus sram;

@@ -137,6 +137,8 @@ let test_launder_needs_field_sensitivity () =
 
 (* --- Driver: exit codes and deterministic order ---------------------------- *)
 
+let boom = [ ("boom", fun () -> failwith "boom") ]
+
 let test_driver_exit_codes () =
   Alcotest.(check int) "clean shipped catalogue exits 0" 0
     (Driver.shipped ~images:Firmware.shipped ());
@@ -151,10 +153,32 @@ let test_driver_exit_codes () =
   Alcotest.(check int) "unknown rule exits 2" 2
     (Driver.shipped ~images:Firmware.shipped ~rule:"no-such-rule" ());
   Alcotest.(check int) "analysis error exits 2" 2
-    (Driver.shipped ~images:[ ("boom", fun () -> failwith "boom") ] ());
+    (Driver.shipped ~images:boom ());
   Alcotest.(check int) "corpus detected exactly exits 0" 0 (Driver.corpus ());
   Alcotest.(check int) "corpus with unknown rule exits 2" 2
-    (Driver.corpus ~rule:"no-such-rule" ())
+    (Driver.corpus ~rule:"no-such-rule" ());
+  Alcotest.(check int) "plans analysis error exits 2" 2
+    (Driver.plans ~images:boom ());
+  Alcotest.(check int) "incremental analysis error exits 2" 2
+    (Driver.incremental ~images:boom ())
+
+(* [all] and [plans_all] exit with the worse of their two gates' codes,
+   and a corpus rule no image expects is an error, not a 0/0 pass. *)
+let test_driver_worst_of () =
+  Alcotest.(check int) "corpus rule no image expects exits 2, not 0/0" 2
+    (Driver.corpus ~rule:Rules.plan_deferral ());
+  Alcotest.(check int) "all: shipped findings, corpus exact -> 1" 1
+    (Driver.all ~images:[ ("bad", fun () -> corpus_build "heap-cap-escape") ]
+       ());
+  Alcotest.(check int) "all: shipped analysis error -> 2" 2
+    (Driver.all ~images:boom ());
+  Alcotest.(check int) "all: shipped clean, corpus selects nothing -> 2" 2
+    (Driver.all ~images:Firmware.shipped ~rule:Rules.plan_deferral ());
+  Alcotest.(check int) "plans_all: plans analysis error, mutants exact -> 2"
+    2
+    (Driver.plans_all ~images:boom ());
+  Alcotest.(check int) "plans_all: both clean -> 0" 0
+    (Driver.plans_all ~images:Firmware.shipped ~name:"demo" ())
 
 let test_sorted_findings () =
   let f rule compartment pc = Rules.v ?pc ~compartment rule "d" in
@@ -235,6 +259,8 @@ let suite =
         Alcotest.test_case "laundered leak needs field sensitivity" `Quick
           test_launder_needs_field_sensitivity;
         Alcotest.test_case "driver exit codes" `Quick test_driver_exit_codes;
+        Alcotest.test_case "all / plans_all exit with the worse code" `Quick
+          test_driver_worst_of;
         Alcotest.test_case "findings sort deterministically" `Quick
           test_sorted_findings;
         Alcotest.test_case "flow findings carry a pc" `Quick
